@@ -548,11 +548,29 @@ def _mode_to_json(m):
     return {"v": m.v, "ev": m.ev, "theta": m.theta, "etheta": m.etheta}
 
 
+def _number(x):
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"expected a number, got {x!r}")
+    return x
+
+
+def _positive_int(x):
+    if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+        raise ValueError(f"expected a positive integer, got {x!r}")
+    return x
+
+
+def _interval(d):
+    lo, hi = d
+    return _number(lo), _number(hi)
+
+
 def _mode_from_json(obj):
     if "u" in obj:
-        return Mode(u=tuple(obj["u"]), du=tuple(obj.get("du", ())) or None)
-    return Mode(v=obj.get("v", 0.0), ev=obj.get("ev", 0.0),
-                theta=obj.get("theta", 0.0), etheta=obj.get("etheta", 0.0))
+        return Mode(u=tuple(map(_number, obj["u"])),
+                    du=tuple(map(_number, obj.get("du", ()))) or None)
+    return Mode(**{k: _number(obj.get(k, 0.0))
+                   for k in ("v", "ev", "theta", "etheta")})
 
 
 def system_spec_to_json(spec):
@@ -576,23 +594,56 @@ def system_spec_to_json(spec):
     }
 
 
-def system_spec_from_json(obj):
-    modes_obj = dict(obj["modes"])
+def _modes_from_json(obj):
+    modes_obj = dict(obj)
     field = modes_obj.pop("field", "default")
     if isinstance(field, dict) and field.get("kind") == "table":
         field = dict(field)
         field["cells"] = {tuple(int(v) for v in k.split(",")): n
                           for k, n in field["cells"].items()}
     modes = {name: _mode_from_json(m) for name, m in modes_obj.items()}
-    regions = {
-        p: tuple(tuple((hs["axis"], hs["op"], hs["c"]) for hs in conj)
-                 for conj in region)
-        for p, region in obj["aps"].items()}
+    return modes, field
+
+
+def _regions_from_json(obj):
+    return {p: tuple(tuple((hs["axis"], hs["op"], hs["c"]) for hs in conj)
+                     for conj in region)
+            for p, region in obj.items()}
+
+
+def system_spec_from_json(obj):
+    """SystemSpec from its JSON form.  A missing or malformed field raises
+    a ValueError that names it."""
+    if not isinstance(obj, dict):
+        raise ValueError(
+            f"spec JSON: expected an object, got {type(obj).__name__}")
+
+    def get(name, convert):
+        if name not in obj:
+            raise ValueError(f"spec JSON: missing field {name!r}")
+        try:
+            return convert(obj[name])
+        except (AttributeError, IndexError, KeyError, TypeError,
+                ValueError) as e:
+            raise ValueError(f"spec JSON: bad field {name!r} "
+                             f"({type(e).__name__}: {e})") from e
+
+    def per_axis(convert):
+        def check(xs):
+            out = tuple(convert(x) for x in xs)
+            if len(out) != dim:
+                raise ValueError(f"{len(out)} entries for dim {dim}")
+            return out
+        return check
+
+    dim = get("dim", _positive_int)
+    modes, field = get("modes", _modes_from_json)
     return SystemSpec(
-        dim=obj["dim"],
-        domain=tuple(tuple(d) for d in obj["domain"]),
-        eta=obj["eta"], tau=obj["tau"], x_in=tuple(obj["x_in"]),
-        modes=modes, field=field, ap_regions=regions)
+        dim=dim, domain=get("domain", per_axis(_interval)),
+        eta=get("eta", _number), tau=get("tau", _number),
+        x_in=get("x_in", per_axis(_number)),
+        modes=modes, field=field,
+        ap_regions=get("aps", _regions_from_json))
 
 
 def _state_str(q):

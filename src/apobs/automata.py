@@ -324,7 +324,9 @@ def minimize(a):
     blocks = {}
     for s in states:
         blocks.setdefault(block_of[s], []).append(s)
-    block_state = {i: frozenset(ss) for i, ss in blocks.items()}
+    # a block is the tuple of its states in sorted order, so its repr, and
+    # every order taken from it downstream, does not depend on the hash seed
+    block_state = {i: tuple(ss) for i, ss in blocks.items()}
 
     edges = set()
     for s, o, d in a.edges:

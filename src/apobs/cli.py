@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -74,12 +75,10 @@ PAPER_REFERENCE = {
 
 def _load_spec(path, eta=None, tau=None):
     with open(path) as fh:
-        obj = json.load(fh)
-    if eta is not None:
-        obj["eta"] = eta
-    if tau is not None:
-        obj["tau"] = tau
-    return _abs.system_spec_from_json(obj)
+        spec = _abs.system_spec_from_json(json.load(fh))
+    overrides = {k: v for k, v in (("eta", eta), ("tau", tau))
+                 if v is not None}
+    return dataclasses.replace(spec, **overrides)
 
 
 def cmd_verify(args):

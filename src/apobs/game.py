@@ -52,8 +52,12 @@ class PipelineError(RuntimeError):
 class BuchiGame:
     """Vertices: ("O", q, b) Opponent-owned, ("P", q, o, b) Player-owned,
     plus the totalizing sinks WIN (accepting self-loop) and LOSE
-    (non-accepting self-loop)."""
-    vertices: tuple              # fixed order (determinism)
+    (non-accepting self-loop).
+
+    ``build_game`` lists ``vertices``, each vertex's successors and the
+    redirected vertices in discovery order, which depends on neither the
+    hash seed nor anything else outside the model and the automaton."""
+    vertices: tuple              # discovery order
     edges: dict                  # vertex -> tuple of successors
     owner: dict                  # vertex -> 0 (Player) or 1 (Opponent)
     accepting: frozenset
@@ -63,69 +67,70 @@ class BuchiGame:
 
     @property
     def n_player(self):
-        return sum(1 for v in self.vertices if self.owner[v] == 0)
+        return sum(1 for o in self.owner.values() if o == 0)
 
     @property
     def n_opponent(self):
-        return sum(1 for v in self.vertices if self.owner[v] == 1)
-
-
-def _vertex_key(v):
-    return repr(v)
+        return sum(1 for o in self.owner.values() if o == 1)
 
 
 def build_game(model, nba):
-    """Product Büchi game of a symbolic model and an automaton, restricted
-    to the part reachable from (q_in, b_in) and totalized with sinks."""
+    """Product Büchi game of a symbolic model and an automaton, explored
+    breadth-first from (q_in, b_in) and totalized with sinks.
+
+    Opponent successors follow the model's transition order, Player
+    successors the automaton states ranked once by ``repr``."""
     if tuple(sorted(model.aps)) != tuple(sorted(nba.aps)):
         raise ValueError(
             f"alphabet mismatch: model tracks {model.aps}, "
             f"automaton reads {nba.aps}")
+    rank = {b: i for i, b in enumerate(sorted(nba.states, key=repr))}
     b_succ = {}
     for b, o, b2 in nba.edges:
         b_succ.setdefault((b, o), []).append(b2)
+    for outs in b_succ.values():
+        outs.sort(key=rank.__getitem__)
 
     init = ("O", model.q_in, nba.initial)
+    vertices = [init]
+    seen = {init: init}      # successors share the objects in ``vertices``
     edges = {}
     owner = {}
     redirected_p = []
     redirected_o = []
-    seen = {init}
-    stack = [init]
-    while stack:
-        v = stack.pop()
-        if v in (WIN, LOSE):
-            continue
+    for v in vertices:       # grows while it is read: breadth-first
         if v[0] == "O":
             _, q, b = v
             owner[v] = 1
-            outs = [("P", q2, o, b) for o, q2 in model.transitions.get(q, ())]
+            outs = [("P", q2, o, b)
+                    for o, q2 in dict.fromkeys(model.transitions.get(q, ()))]
             if not outs:
                 redirected_o.append(v)
                 outs = [WIN]
-        else:
+        elif v[0] == "P":
             _, q2, o, b = v
             owner[v] = 0
             outs = [("O", q2, b2) for b2 in b_succ.get((b, o), ())]
             if not outs:
                 redirected_p.append(v)
                 outs = [LOSE]
-        edges[v] = tuple(sorted(set(outs), key=_vertex_key))
-        for w in edges[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    for sink in (WIN, LOSE):
-        if sink in seen:
-            edges[sink] = (sink,)
-            owner[sink] = 0
+        else:                # WIN or LOSE
+            owner[v] = 0
+            edges[v] = (v,)
+            continue
+        succs = []
+        for w in outs:
+            known = seen.get(w)
+            if known is None:
+                seen[w] = known = w
+                vertices.append(w)
+            succs.append(known)
+        edges[v] = tuple(succs)
     accepting = frozenset(
-        v for v in seen
+        v for v in vertices
         if (v[0] == "O" and v[2] in nba.accepting) or v == WIN)
-    vertices = tuple(sorted(seen, key=_vertex_key))
-    return BuchiGame(vertices, edges, owner, accepting, init,
-                     tuple(sorted(redirected_p, key=_vertex_key)),
-                     tuple(sorted(redirected_o, key=_vertex_key)))
+    return BuchiGame(tuple(vertices), edges, owner, accepting, init,
+                     tuple(redirected_p), tuple(redirected_o))
 
 
 @dataclass(frozen=True)
@@ -138,87 +143,105 @@ class SolveResult:
     stats: dict
 
 
-def _attractor(game, target, player, universe):
-    """Attractor of ``target`` for ``player`` inside ``universe``; returns
-    (attractor set, strategy for player-owned attractor vertices)."""
-    pred = {v: [] for v in universe}
-    out_deg = {}
-    for v in universe:
-        succs = [w for w in game.edges[v] if w in universe]
-        out_deg[v] = len(succs)
-        for w in succs:
-            pred[w].append(v)
-    attr = set(t for t in target if t in universe)
+def _attractor(target, player, live, succ, pred, owner):
+    """Attractor of ``target`` for ``player`` inside the ``live`` vertices,
+    on vertex indices.  Returns (membership bytearray, members in the order
+    attracted, strategy for the player's attractor vertices).  An
+    adversary vertex's count of live successors still outside the
+    attractor is set up the first time one of them joins."""
+    attr = bytearray(len(succ))
+    for t in target:
+        attr[t] = 1
+    order = list(target)
     strategy = {}
-    queue = sorted(attr, key=_vertex_key)
-    i = 0
-    while i < len(queue):
-        w = queue[i]
-        i += 1
+    remaining = {}
+    for w in order:          # grows while it is read
         for v in pred[w]:
-            if v in attr:
+            if attr[v] or not live[v]:
                 continue
-            if game.owner[v] == player:
-                attr.add(v)
+            if owner[v] == player:
                 strategy[v] = w
-                queue.append(v)
             else:
-                out_deg[v] -= 1
-                if out_deg[v] == 0:
-                    attr.add(v)
-                    queue.append(v)
-    return attr, strategy
+                left = remaining.get(v)
+                if left is None:
+                    left = sum(live[u] for u in succ[v])
+                remaining[v] = left = left - 1
+                if left:
+                    continue
+            attr[v] = 1
+            order.append(v)
+    return attr, order, strategy
 
 
 def solve_buchi(game):
     """Zielonka's algorithm specialized to two priorities (the classical
     alternating-attractor Büchi fixpoint), with positional strategies for
-    both sides.  Deterministic for a fixed vertex order."""
-    universe = set(game.vertices)
-    w1 = set()
+    both sides.
+
+    Works on vertex indices: successor and predecessor lists are built
+    once, the shrinking universe is a bytearray, and W0, W1 and the
+    strategies are mapped back to vertices at the end, each strategy in
+    vertex order.  So for a game from ``build_game`` the result, strategies
+    included, does not depend on the hash seed."""
+    vertices = game.vertices
+    n = len(vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    succ = [[index[w] for w in game.edges[v]] for v in vertices]
+    pred = [[] for _ in range(n)]
+    for v, ws in enumerate(succ):
+        for w in ws:
+            pred[w].append(v)
+    owner = bytes(game.owner[v] for v in vertices)
+    accepting = sorted(index[v] for v in game.accepting)
+
+    live = bytearray(b"\x01") * n
+    n_live = n
+    w1 = []
+    strategy0 = {}
     strategy1 = {}
     iterations = 0
-    while True:
+    while n_live:
         iterations += 1
-        f = game.accepting & universe
-        reach, s_reach = _attractor(game, f, 0, universe)
-        if reach == universe:
+        f = [v for v in accepting if live[v]]
+        reach, reached, s_reach = _attractor(f, 0, live, succ, pred, owner)
+        if len(reached) == n_live:
+            # W0 found: Player attracts to F inside it; on F, re-enter it
+            strategy0 = s_reach
+            for v in f:
+                if owner[v] == 0:
+                    for w in succ[v]:
+                        if live[w]:
+                            strategy0[v] = w
+                            break
             break
-        dead = universe - reach      # Player can never reach F from here
-        trap, s_trap = _attractor(game, dead, 1, universe)
+        dead = [v for v in range(n) if live[v] and not reach[v]]
+        _, trapped, s_trap = _attractor(dead, 1, live, succ, pred, owner)
         for v in dead:
-            if game.owner[v] == 1 and v not in s_trap:
+            if owner[v] == 1 and v not in s_trap:
                 # stay inside the F-unreachable region
-                for w in game.edges[v]:
-                    if w in dead:
+                for w in succ[v]:
+                    if live[w] and not reach[w]:
                         s_trap[v] = w
                         break
         strategy1.update(s_trap)
-        w1 |= trap
-        universe -= trap
-        if not universe:
-            break
-    w0 = universe
-    # Player strategy on W0: attract to F inside W0; on F, re-enter W0.
-    strategy0 = {}
-    if w0:
-        f = game.accepting & w0
-        _, s_reach = _attractor(game, f, 0, w0)
-        strategy0.update(s_reach)
-        for v in w0:
-            if game.owner[v] == 0 and v not in strategy0:
-                for w in game.edges[v]:
-                    if w in w0:
-                        strategy0[v] = w
-                        break
+        for v in trapped:
+            live[v] = 0
+        w1 += trapped
+        n_live -= len(trapped)
+
+    def back(strategy):
+        return {vertices[v]: vertices[w] for v, w in sorted(strategy.items())}
+
     stats = {"iterations": iterations,
-             "vertices": len(game.vertices),
+             "vertices": n,
              "player_vertices": game.n_player,
              "opponent_vertices": game.n_opponent,
              "redirected_player": len(game.redirected_player),
              "redirected_opponent": len(game.redirected_opponent)}
-    return SolveResult(frozenset(w0), frozenset(w1), strategy0, strategy1,
-                       game.initial in w0, stats)
+    return SolveResult(frozenset(vertices[v] for v in range(n) if live[v]),
+                       frozenset(vertices[v] for v in w1),
+                       back(strategy0), back(strategy1),
+                       bool(live[index[game.initial]]), stats)
 
 
 def winning_region_fixpoint(game):
@@ -378,13 +401,9 @@ def verify(spec, formula, repeat=1, allow_unsound_tau=False,
 # ---------------------------------------------------------------------------
 # JSON
 
-def _b_names(g):
+def _b_names(vertices):
     """Stable serializable names for the automaton-state components."""
-    bs = set()
-    for v in g.vertices:
-        if v in (WIN, LOSE):
-            continue
-        bs.add(v[2] if v[0] == "O" else v[3])
+    bs = {v[-1] for v in vertices if v not in (WIN, LOSE)}
     return {b: f"b{i}" for i, b in enumerate(sorted(bs, key=repr))}
 
 
@@ -398,7 +417,7 @@ def _vjson(v, names):
 
 
 def game_to_json(g):
-    names = _b_names(g)
+    names = _b_names(g.vertices)
     return {
         "initial": _vjson(g.initial, names),
         "player_vertices": g.n_player,
@@ -411,18 +430,13 @@ def game_to_json(g):
 
 
 def solve_result_to_json(r):
-    bs = set()
-    for v in r.w0 | r.w1:
-        if v not in (WIN, LOSE):
-            bs.add(v[2] if v[0] == "O" else v[3])
-    names = {b: f"b{i}" for i, b in enumerate(sorted(bs, key=repr))}
+    names = _b_names(r.w0 | r.w1)
     return {
         "verdict": "VERIFIED" if r.winning else "INCONCLUSIVE",
         "w0_size": len(r.w0),
         "w1_size": len(r.w1),
         "strategy": [{"vertex": _vjson(v, names), "move": _vjson(w, names)}
-                     for v, w in sorted(r.strategy0.items(),
-                                        key=lambda kv: _vertex_key(kv[0]))],
+                     for v, w in r.strategy0.items()],
         "stats": dict(r.stats),
     }
 

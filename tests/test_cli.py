@@ -1,9 +1,15 @@
-"""End-to-end CLI tests (in-process, via cli.main)."""
+"""End-to-end CLI tests (in-process via cli.main; the hash-seed test runs
+two subprocesses)."""
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import apobs
 from apobs.cli import (BENCH_FORMULAS, EXIT_ERROR, EXIT_INCONCLUSIVE,
                        EXIT_VERIFIED, PAPER_REFERENCE, main)
 
@@ -84,6 +90,50 @@ class TestVerify:
             hashes.append(json.loads(out.read_text())["config_hash"])
         capsys.readouterr()
         assert hashes[0] == hashes[1]
+
+
+class TestMalformedSpec:
+    @pytest.mark.parametrize("edit, field", [
+        (lambda o: o.pop("modes"), "missing field 'modes'"),
+        (lambda o: o.update(domain=[[-1, 1]]), "bad field 'domain'"),
+        (lambda o: o["modes"]["default"].update(v="fast"),
+         "bad field 'modes'"),
+    ], ids=["missing-modes", "short-domain", "non-numeric-speed"])
+    def test_one_line_error(self, spec_file, tmp_path, capsys, edit, field):
+        obj = json.loads(open(spec_file).read())
+        edit(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["verify", "--system", str(bad), "--formula", "G r",
+                     "--repeat", "1"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and field in err
+
+    def test_not_an_object(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2]")
+        assert main(["verify", "--system", str(bad), "--formula", "G r",
+                     "--repeat", "1"]) == EXIT_ERROR
+        assert "expected an object" in capsys.readouterr().err
+
+
+def test_exports_independent_of_hash_seed(spec_file, tmp_path):
+    # automaton states and game vertices hold strings, whose hashes
+    # change with PYTHONHASHSEED; no export may depend on them
+    src = str(Path(apobs.__file__).resolve().parents[1])
+    exports = []
+    for seed in ("0", "2"):
+        report, game = tmp_path / f"r{seed}.json", tmp_path / f"g{seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-m", "apobs.cli", "verify", "--system",
+             spec_file, "--formula", "F G r", "--repeat", "1",
+             "--out", str(report), "--export-game", str(game)],
+            env=env, check=True, capture_output=True)
+        payload = json.loads(report.read_text())
+        del payload["times"]
+        exports.append((payload, json.loads(game.read_text())))
+    assert exports[0] == exports[1]
 
 
 class TestBench:

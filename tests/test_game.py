@@ -5,11 +5,15 @@ import pytest
 
 from apobs.abstraction import SymbolicModel, SystemSpec, Mode
 from apobs.automata import Nba
+from apobs.cli import BENCH_FORMULAS
 from apobs.game import (LOSE, WIN, BuchiGame, PipelineError, build_game,
                         check_strategy, game_to_json, report_from_json,
                         report_to_json, solve_buchi, solve_result_to_json,
                         verify, winning_region_fixpoint)
-from conftest import (brute_force_w0, rand_buchi_game, rand_model, rand_nba)
+from apobs.ltl import atoms, parse_ltl, to_nnf
+from apobs.scenarios import drone_spec
+from conftest import (brute_force_w0, drone_model, rand_buchi_game,
+                      rand_model, rand_nba)
 
 
 def _letters(*obs):
@@ -166,6 +170,22 @@ class TestSolveBuchi:
             res = solve_buchi(game)
             if res.winning:
                 assert check_strategy(game, res.strategy0, trials=30)
+
+
+class TestProductGames:
+    """The solver against the fixpoint oracle on the drone's product
+    games, which have redirected vertices and tuple-valued vertices."""
+
+    @pytest.mark.parametrize("formula", BENCH_FORMULAS)
+    def test_solver_matches_oracle(self, formula):
+        tracked = atoms(to_nnf(parse_ltl(formula)))
+        report, art = verify(drone_spec(), formula,
+                             model=drone_model(tracked))
+        game, res = art["game"], art["solve"]
+        assert res.w0 == winning_region_fixpoint(game)
+        assert res.w0 | res.w1 == frozenset(game.vertices)
+        if report.verdict == "VERIFIED":
+            assert check_strategy(game, res.strategy0)
 
 
 class TestVerify:
