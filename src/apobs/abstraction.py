@@ -12,6 +12,7 @@ at the start (cell q) and at the end (cell q') of the step.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -121,6 +122,13 @@ class Mode:
     u: tuple = None   # vector form when not None
     du: tuple = None
 
+    def __post_init__(self):
+        # tuples keep a mode hashable: velocity_extents is memoized on it
+        for name in ("u", "du"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, tuple(value))
+
     @property
     def v_max(self):
         if self.u is not None:
@@ -165,8 +173,20 @@ class SystemSpec:
         return tuple(k * self.eta for k in cell)
 
     def cell_box(self, cell):
+        """Closed box of a grid cell, k*eta +- eta/2 per axis.  A boundary
+        cell reaches the domain edge, so the cells cover the domain even
+        when eta does not divide it; no box is ever shrunk."""
         h = self.eta / 2
-        return [(k * self.eta - h, k * self.eta + h) for k in cell]
+        box = []
+        for a, k in enumerate(cell):
+            lo, hi = k * self.eta - h, k * self.eta + h
+            kmin, kmax = self.grid_range(a)
+            if k == kmin:
+                lo = min(lo, self.domain[a][0])
+            if k == kmax:
+                hi = max(hi, self.domain[a][1])
+            box.append((lo, hi))
+        return box
 
 
 def mode_for_cell(spec, cell):
@@ -247,11 +267,14 @@ def _angle_candidates(theta, etheta):
     return cands
 
 
+@functools.lru_cache(maxsize=1024)
 def velocity_extents(mode, dim):
-    """Per-axis [min, max] of the admissible velocity set."""
+    """Per-axis [min, max] of the admissible velocity set, as a tuple.
+    Memoized: a field has few distinct modes but many cells."""
     if mode.u is not None:
         du = mode.du or (0.0,) * dim
-        return [(mode.u[a] - du[a], mode.u[a] + du[a]) for a in range(dim)]
+        return tuple((mode.u[a] - du[a], mode.u[a] + du[a])
+                     for a in range(dim))
     out = []
     betas = _angle_candidates(mode.theta, mode.etheta)
     speeds = (mode.v - mode.ev, mode.v + mode.ev)
@@ -259,7 +282,7 @@ def velocity_extents(mode, dim):
         trig = math.cos if a == 0 else math.sin
         vals = [s * trig(b) for b in betas for s in speeds]
         out.append((min(vals), max(vals)))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +331,7 @@ def reach_box(spec, cell):
     ext = velocity_extents(mode, spec.dim)
     box = []
     exits = False
-    for a in range(spec.dim):
-        lo, hi = spec.cell_box(cell)[a]
+    for a, (lo, hi) in enumerate(spec.cell_box(cell)):
         blo = lo + spec.tau * ext[a][0]
         bhi = hi + spec.tau * ext[a][1]
         dlo, dhi = spec.domain[a]
@@ -394,12 +416,14 @@ class SymbolicModel:
                 yield q, o, q2
 
 
-def _labels_for(start_sets, end_sets, aps, drop_multi_change):
+def _labels_for(sig, sig2, aps, drop_multi_change):
+    """Labels of a step from a cell with classification signature ``sig``
+    (one of '+', '-', '?' per AP) to a cell with signature ``sig2``."""
     per_ap = []
-    for p in aps:
-        allowed = start_sets[p] & end_sets[p]
+    for c, c2 in zip(sig, sig2):
+        allowed = _P_Z[c] & _P_E[c2]
         if not allowed:
-            return []
+            return ()
         per_ap.append(sorted(allowed))
     out = []
     for combo in itertools.product(*per_ap):
@@ -407,7 +431,7 @@ def _labels_for(start_sets, end_sets, aps, drop_multi_change):
                 sum(1 for o in combo if o in ("Z", "E")) > 1:
             continue
         out.append(tuple(zip(aps, combo)))
-    return out
+    return tuple(out)
 
 
 def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
@@ -419,6 +443,11 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
     observations.  Labels with two changing APs are dropped by default
     (single-change assumption; pass drop_multi_change=False to keep them).
     Requires a passing validate_tau unless ``force``.
+
+    A transition's labels depend only on the signatures of its two ends,
+    the classification of every tracked AP on the cell (all '?' on the
+    sink).  They are computed once per pair of signatures, and the
+    transitions with that pair share the same label tuples.
     """
     aps = tuple(sorted(tracked_aps if tracked_aps is not None else
                        spec.ap_regions.keys()))
@@ -434,43 +463,49 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
             f"(v_max={tv.v_max}); pass force=True to override")
 
     cells = spec.cells()
-    cell_set = set(cells)
-    rho = {q: {p: _rho_cell(spec, q, p) for p in aps} for q in cells}
-    start_sets = {q: {p: _P_Z[rho[q][p]] for p in aps} for q in cells}
-    end_sets = {q: {p: _P_E[rho[q][p]] for p in aps} for q in cells}
-    sink_end = {p: _P_E["?"] for p in aps}
+    regions = [spec.ap_regions[p] for p in aps]
+    sig = {}
+    for q in cells:
+        box = spec.cell_box(q)
+        sig[q] = tuple(box_vs_region(r, box) for r in regions)
+    sink_sig = ("?",) * len(aps)
+    labels = {}
 
+    def labels_for(s, s2):
+        out = labels.get((s, s2))
+        if out is None:
+            out = labels[s, s2] = _labels_for(s, s2, aps, drop_multi_change)
+        return out
+
+    h = spec.eta / 2
+    slack = 1e-9 * spec.eta
+    axes = [(spec.grid_range(a), spec.domain[a]) for a in range(spec.dim)]
     transitions = {}
     any_sink = False
     for q in cells:
         box, exits = reach_box(spec, q)
         succ_ranges = []
-        for a in range(spec.dim):
-            blo, bhi = box[a]
-            kmin, kmax = spec.grid_range(a)
-            h = spec.eta / 2
+        for (blo, bhi), ((kmin, kmax), (dlo, dhi)) in zip(box, axes):
             lo_k = math.ceil((blo - h) / spec.eta - 1e-9)
             hi_k = math.floor((bhi + h) / spec.eta + 1e-9)
+            # the boundary cells reach the domain edge (see cell_box)
+            if blo <= dhi + slack:
+                lo_k = min(lo_k, kmax)
+            if bhi >= dlo - slack:
+                hi_k = max(hi_k, kmin)
             succ_ranges.append(range(max(lo_k, kmin), min(hi_k, kmax) + 1))
+        s = sig[q]
         outs = []
         for q2 in itertools.product(*succ_ranges):
-            if q2 not in cell_set:
-                continue
-            for o in _labels_for(start_sets[q], end_sets[q2], aps,
-                                 drop_multi_change):
-                outs.append((o, q2))
+            outs.extend([(o, q2) for o in labels_for(s, sig[q2])])
         if exits:
             any_sink = True
-            for o in _labels_for(start_sets[q], sink_end, aps,
-                                 drop_multi_change):
-                outs.append((o, SINK))
+            outs.extend([(o, SINK) for o in labels_for(s, sink_sig)])
         transitions[q] = tuple(outs)
 
     if any_sink:
-        sink_start = {p: _P_Z["?"] for p in aps}
         transitions[SINK] = tuple(
-            (o, SINK) for o in _labels_for(sink_start, sink_end, aps,
-                                           drop_multi_change))
+            (o, SINK) for o in labels_for(sink_sig, sink_sig))
 
     return SymbolicModel(aps, tuple(cells), gamma(spec.x_in, spec),
                          transitions, any_sink, spec.eta, spec.tau)

@@ -363,6 +363,49 @@ def _model_edges(model):
             yield q, o, q2
 
 
+def reference_transitions(spec, aps, drop_multi_change):
+    """Symbolic model transitions built one pair of cells at a time: a
+    successor is every cell whose box meets the reach box (both closed,
+    with slack 1e-9 eta), and the labels of each transition are derived
+    afresh from ``box_vs_region`` at both of its ends."""
+    from apobs.abstraction import (SINK, _P_E, _P_Z, box_vs_region,
+                                   reach_box)
+    aps = tuple(sorted(aps))
+    slack = 1e-9 * spec.eta
+
+    def classify(q, p):
+        if q == SINK:
+            return "?"
+        return box_vs_region(spec.ap_regions[p], spec.cell_box(q))
+
+    def labels(q, q2):
+        per_ap = [sorted(_P_Z[classify(q, p)] & _P_E[classify(q2, p)])
+                  for p in aps]
+        return [tuple(zip(aps, combo))
+                for combo in itertools.product(*per_ap)
+                if not drop_multi_change
+                or sum(o in ("Z", "E") for o in combo) <= 1]
+
+    cells = spec.cells()
+    transitions = {}
+    any_sink = False
+    for q in cells:
+        reach, exits = reach_box(spec, q)
+        outs = []
+        for q2 in cells:
+            if all(hi2 >= blo - slack and lo2 <= bhi + slack
+                   for (lo2, hi2), (blo, bhi)
+                   in zip(spec.cell_box(q2), reach)):
+                outs += [(o, q2) for o in labels(q, q2)]
+        if exits:
+            any_sink = True
+            outs += [(o, SINK) for o in labels(q, SINK)]
+        transitions[q] = tuple(outs)
+    if any_sink:
+        transitions[SINK] = tuple((o, SINK) for o in labels(SINK, SINK))
+    return transitions
+
+
 # ---------------------------------------------------------------------------
 # Random tiny symbolic models and automata (game-vs-language cross-checks)
 

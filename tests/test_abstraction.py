@@ -1,8 +1,10 @@
 """Grid quantization, cell classification, reachability, and simulation."""
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from apobs.abstraction import (Mode, OutOfDomainError, SINK, SymbolicModel,
                                SystemSpec, TauValidationError, box_vs_region,
@@ -13,8 +15,9 @@ from apobs.abstraction import (Mode, OutOfDomainError, SINK, SymbolicModel,
                                symbolic_model_to_json, system_spec_from_json,
                                system_spec_to_json, validate_tau,
                                velocity_extents, _P_E, _P_Z)
+from apobs.observations import ChoppingError
 from apobs.scenarios import drone_spec
-from conftest import drone_model
+from conftest import drone_model, reference_transitions
 
 
 def _uniform_spec(mode, dim=2, domain=16.5, tau=1.0, aps=None):
@@ -117,6 +120,12 @@ class TestReachBox:
         assert not exits
         assert box[0] == (pytest.approx(2.5), pytest.approx(3.5))
         assert box[1] == (pytest.approx(2.5), pytest.approx(3.5))
+
+    def test_list_velocity_is_hashable(self):
+        mode = Mode(u=[1.0, 0.0], du=[0.25, 0.0])
+        assert mode == Mode(u=(1.0, 0.0), du=(0.25, 0.0))
+        assert velocity_extents(mode, 2) == ((0.75, 1.25), (0.0, 0.0))
+        assert build_symbolic_model(_uniform_spec(mode)).n_states == 1089
 
     def test_zero_velocity(self):
         spec = _uniform_spec(Mode(u=(0.0, 0.0)))
@@ -229,3 +238,117 @@ class TestSerialization:
         assert set(back.states) == set(model.states)
         for q in model.transitions:
             assert set(back.transitions[q]) == set(model.transitions[q])
+
+
+class TestGridCoverage:
+    """The cells cover the domain when eta does not divide it."""
+
+    def _spec(self, u, x, tau, aps):
+        return SystemSpec(
+            dim=1, domain=((-16.5, 16.5),), eta=0.7, tau=tau, x_in=(x,),
+            modes={"default": Mode(u=(u,))}, field="default",
+            ap_regions=aps)
+
+    def test_boundary_cell_reaches_domain_edge(self):
+        # the grid stops at 23 * 0.7 + 0.35 = 16.45; the last cell's box
+        # must still reach 16.5, where q holds
+        spec = self._spec(0.95, 16.0, 0.5, {"q": (((0, "ge", 16.47),),)})
+        assert spec.cell_box((23,))[0][1] == 16.5
+        assert spec.cell_box((-23,))[0][0] == -16.5
+        cells, word = simulate_trajectory(spec, 1, seed=0)
+        assert cells == [(23,), (23,)] and word == [(("q", "E"),)]
+        assert is_run_of(build_symbolic_model(spec), cells, word)
+
+    def test_reach_box_inside_the_edge_strip(self):
+        # from cell 22 the reach box starts at 16.47, past the last cell's
+        # nominal box, yet points up to 16.5 are clamped into cell 23
+        spec = self._spec(1.42, 15.06, 1.0, {"far": (((0, "ge", 100.0),),)})
+        cells, word = simulate_trajectory(spec, 1, seed=0)
+        assert cells == [(22,), (23,)]
+        assert is_run_of(build_symbolic_model(spec), cells, word)
+
+
+@st.composite
+def _interval(draw, eta):
+    """Domain (lo, hi) of one axis whose edges fall between grid points,
+    so the boundary cells either overhang the domain or stop short of
+    it."""
+    def edge():
+        return (draw(st.integers(1, 4)) + draw(st.floats(0.05, 0.95))) * eta
+    return -edge(), edge()
+
+
+@st.composite
+def _mode(draw, dim):
+    if draw(st.booleans()):
+        speed = st.floats(-1.5, 1.5)
+        return Mode(u=tuple(draw(speed) for _ in range(dim)),
+                    du=tuple(draw(st.floats(0.0, 0.3)) for _ in range(dim)))
+    v = draw(st.floats(0.0, 1.5))
+    return Mode(v=v, ev=draw(st.floats(0.0, min(v, 0.3))),
+                theta=draw(st.floats(-math.pi, math.pi)),
+                etheta=draw(st.floats(0.0, 0.4)))
+
+
+@st.composite
+def _random_spec(draw):
+    """A small 1-D or 2-D spec: eta not dividing the domain, a uniform or
+    two-mode table field, random half-space regions, and tau at most
+    validate_tau's tau_max."""
+    dim = draw(st.integers(1, 2))
+    eta = draw(st.sampled_from((0.5, 0.6, 0.7, 0.9, 1.0)))
+    domain = tuple(draw(_interval(eta)) for _ in range(dim))
+    x_in = tuple(draw(st.floats(lo, hi)) for lo, hi in domain)
+    modes = {"default": draw(_mode(dim)), "other": draw(_mode(dim))}
+    field = "default"
+    if draw(st.booleans()):
+        probe = SystemSpec(dim, domain, eta, 1.0, x_in, modes, "default", {})
+        field = {"kind": "table", "default": "default",
+                 "cells": {c: "other" for c in probe.cells()
+                           if draw(st.booleans())}}
+
+    def half_space():
+        a = draw(st.integers(0, dim - 1))
+        lo, hi = domain[a]
+        return (a, draw(st.sampled_from(("le", "ge"))),
+                round(draw(st.floats(lo, hi)), 3))
+    aps = {f"p{i}": tuple(tuple(half_space()
+                                for _ in range(draw(st.integers(1, 2))))
+                          for _ in range(draw(st.integers(1, 2))))
+           for i in range(draw(st.integers(1, 3)))}
+    spec = SystemSpec(dim, domain, eta, 1.0, x_in, modes, field, aps)
+    tau = draw(st.floats(0.1, 1.5))
+    return dataclasses.replace(spec, tau=min(tau, validate_tau(spec).tau_max))
+
+
+class TestRandomSpecs:
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(spec=_random_spec(), drop=st.booleans())
+    def test_model_equals_reference(self, spec, drop):
+        aps = tuple(sorted(spec.ap_regions))
+        model = build_symbolic_model(spec, drop_multi_change=drop)
+        ref = reference_transitions(spec, aps, drop)
+        assert list(model.transitions) == list(ref)
+        assert model.transitions == ref
+
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(spec=_random_spec())
+    def test_simulated_runs_are_model_runs(self, spec):
+        # Theorem 1: every trajectory's (cell, observation) word is a run
+        model = build_symbolic_model(spec)
+        steps = 0
+        for seed in range(3):
+            for horizon in (8, 4, 2, 1):
+                try:
+                    cells, word = simulate_trajectory(
+                        spec, horizon, seed, samples_per_step=200)
+                except OutOfDomainError:
+                    continue
+                except ChoppingError:
+                    assume(False)
+                assert is_run_of(model, cells, word), (seed, cells, word)
+                steps += horizon
+                break
+        assume(steps > 0)

@@ -157,3 +157,9 @@ class TestBench:
         assert [r["formula"] for r in rows] == ["G r", "F G r"]
         assert rows[0]["verdict"] == "VERIFIED"
         assert int(rows[0]["automaton"]) == 2
+        # both formulas track {r}: the first row builds the model, the
+        # second reuses it
+        assert "model(s)" in out
+        assert float(rows[0]["model_s"]) >= 0.0
+        assert float(rows[1]["model_s"]) == 0.0
+        assert float(rows[0]["total_s"]) >= float(rows[0]["model_s"])
