@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,6 +140,9 @@ class Mode:
 
 @dataclass(frozen=True)
 class SystemSpec:
+    """A grid-quantized system.  A spec is treated as immutable: the grid
+    ranges, ``v_max`` and the canonical JSON text are computed once per
+    instance and kept (``dataclasses.replace`` makes a fresh instance)."""
     dim: int
     domain: tuple           # ((lo, hi), ...) per axis
     eta: float
@@ -158,15 +162,29 @@ class SystemSpec:
             if not (self.domain[a][0] <= self.x_in[a] <= self.domain[a][1]):
                 raise ValueError("x_in outside the domain")
 
+    @functools.cached_property
+    def grid_ranges(self):
+        """(kmin, kmax) of the cell indices per axis."""
+        return tuple((math.ceil(lo / self.eta - 1e-9),
+                      math.floor(hi / self.eta + 1e-9))
+                     for lo, hi in self.domain)
+
+    @functools.cached_property
+    def v_max(self):
+        """Largest speed bound over the modes of all cells."""
+        return max((mode_for_cell(self, c).v_max for c in self.cells()),
+                   default=0.0)
+
+    @functools.cached_property
+    def json_text(self):
+        """``system_spec_to_json`` as JSON text with sorted keys."""
+        return json.dumps(system_spec_to_json(self), sort_keys=True)
+
     def grid_range(self, axis):
-        lo, hi = self.domain[axis]
-        kmin = math.ceil(lo / self.eta - 1e-9)
-        kmax = math.floor(hi / self.eta + 1e-9)
-        return kmin, kmax
+        return self.grid_ranges[axis]
 
     def cells(self):
-        ranges = [range(*(lambda r: (r[0], r[1] + 1))(self.grid_range(a)))
-                  for a in range(self.dim)]
+        ranges = [range(kmin, kmax + 1) for kmin, kmax in self.grid_ranges]
         return [tuple(c) for c in itertools.product(*ranges)]
 
     def center(self, cell):
@@ -178,13 +196,13 @@ class SystemSpec:
         when eta does not divide it; no box is ever shrunk."""
         h = self.eta / 2
         box = []
-        for a, k in enumerate(cell):
+        for k, (kmin, kmax), (dlo, dhi) in zip(cell, self.grid_ranges,
+                                               self.domain):
             lo, hi = k * self.eta - h, k * self.eta + h
-            kmin, kmax = self.grid_range(a)
             if k == kmin:
-                lo = min(lo, self.domain[a][0])
+                lo = min(lo, dlo)
             if k == kmax:
-                hi = max(hi, self.domain[a][1])
+                hi = max(hi, dhi)
             box.append((lo, hi))
         return box
 
@@ -196,7 +214,9 @@ def mode_for_cell(spec, cell):
       * a string naming a mode ("default", ...): uniform field;
       * {"kind": "table", "cells": {cell: mode name}, "default": name};
       * {"kind": "patrol", ...}: the built-in drone patrol field (2-D),
-        parameterized by the band rows/columns (see ``patrol_theta``).
+        parameterized by the band rows/columns in metres (see
+        ``patrol_theta``), evaluated on the cell centre rounded half-up
+        to whole metres, so every eta grids the same field.
     """
     if isinstance(spec.field, str):
         return spec.modes[spec.field]
@@ -207,23 +227,26 @@ def mode_for_cell(spec, cell):
         return spec.modes[name]
     if kind == "patrol":
         base = spec.modes["default"]
-        theta = patrol_theta(cell, spec.field)
+        point = tuple(math.floor(k * spec.eta + 0.5) for k in cell)
+        theta = patrol_theta(point, spec.field)
         return Mode(v=base.v, ev=base.ev, theta=theta, etheta=base.etheta)
     raise ValueError(f"mode undefined for cell {cell}: bad field spec")
 
 
-def patrol_theta(cell, params):
-    """Counter-clockwise patrol heading for the drone scenario.
+def patrol_theta(point, params):
+    """Counter-clockwise patrol heading for the drone scenario at a point
+    given in whole metres.
 
     The drone circulates in the horizontal band above the lowest region
-    boundary it must never cross mid-flight: east along rows 13-15, south
-    at the right edge, west along rows 7-11, north at the left edge.
+    boundary it must never cross mid-flight: east along y = 13-15 m,
+    south at the right edge, west along y = 7-11 m, north at the left
+    edge.
     Corridor rows use slightly tilted headings that steer drifting
     trajectories back toward the corridor center, so the band is invariant
     under the disturbance and no step can leave the domain or cross the
     forbidden boundary.
     """
-    cx, cy = cell
+    cx, cy = point
     xleft = params.get("xleft", -11)
     xright = params.get("xright", 11)
     tilt = params.get("tilt", 0.1)
@@ -373,8 +396,7 @@ def validate_tau(spec, tracked_aps=None):
     """
     aps = sorted(tracked_aps if tracked_aps is not None else
                  spec.ap_regions.keys())
-    v_max = max((mode_for_cell(spec, c).v_max for c in spec.cells()),
-                default=0.0)
+    v_max = spec.v_max
     thr = {p: _ap_thresholds(spec.ap_regions[p]) for p in aps}
     distances = {}
     shared = []
@@ -396,12 +418,46 @@ def validate_tau(spec, tracked_aps=None):
                          spec.tau <= tau_max, tuple(sorted(set(shared))))
 
 
+class _Transitions(Mapping):
+    """Read-only map from a model state to its transitions.  A state's
+    transitions are computed by ``outgoing(state)`` on first access and
+    kept; iterating the values computes them all."""
+
+    def __init__(self, states, outgoing):
+        self._keys = dict.fromkeys(states)
+        self._outgoing = outgoing
+        self._done = {}
+
+    def __getitem__(self, q):
+        outs = self._done.get(q)
+        if outs is None:
+            if q not in self._keys:
+                raise KeyError(q)
+            outs = self._done[q] = self._outgoing(q)
+        return outs
+
+    def __contains__(self, q):
+        return q in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+
 @dataclass(frozen=True)
 class SymbolicModel:
+    """A finite symbolic model.  ``transitions`` maps every state, the
+    cells in grid order and then the sink if there is one, to a tuple of
+    (label, successor).  In a model from ``build_symbolic_model`` a
+    state's transitions are computed when first read; iterating the map
+    (``items()``, ``values()``, ``edges()``, ``==``) computes all of them,
+    so every reader sees the full model."""
     aps: tuple
     states: tuple             # grid cells; the sink (if any) is extra
     q_in: tuple
-    transitions: dict         # state -> tuple of (label, successor)
+    transitions: Mapping      # state -> tuple of (label, successor)
     has_sink: bool
     eta: float = None
     tau: float = None
@@ -448,6 +504,11 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
     the classification of every tracked AP on the cell (all '?' on the
     sink).  They are computed once per pair of signatures, and the
     transitions with that pair share the same label tuples.
+
+    Up front only the tau check and the sink check run.  A cell's
+    transitions (and its signature) are computed the first time they are
+    read, so a game explored from ``q_in`` builds only the cells it
+    reaches; iterating ``transitions`` computes the rest.
     """
     aps = tuple(sorted(tracked_aps if tracked_aps is not None else
                        spec.ap_regions.keys()))
@@ -464,12 +525,16 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
 
     cells = spec.cells()
     regions = [spec.ap_regions[p] for p in aps]
-    sig = {}
-    for q in cells:
-        box = spec.cell_box(q)
-        sig[q] = tuple(box_vs_region(r, box) for r in regions)
     sink_sig = ("?",) * len(aps)
+    sigs = {}
     labels = {}
+
+    def signature(q):
+        s = sigs.get(q)
+        if s is None:
+            box = spec.cell_box(q)
+            s = sigs[q] = tuple(box_vs_region(r, box) for r in regions)
+        return s
 
     def labels_for(s, s2):
         out = labels.get((s, s2))
@@ -479,10 +544,11 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
 
     h = spec.eta / 2
     slack = 1e-9 * spec.eta
-    axes = [(spec.grid_range(a), spec.domain[a]) for a in range(spec.dim)]
-    transitions = {}
-    any_sink = False
-    for q in cells:
+    axes = list(zip(spec.grid_ranges, spec.domain))
+
+    def outgoing(q):
+        if q == SINK:
+            return tuple((o, SINK) for o in labels_for(sink_sig, sink_sig))
         box, exits = reach_box(spec, q)
         succ_ranges = []
         for (blo, bhi), ((kmin, kmax), (dlo, dhi)) in zip(box, axes):
@@ -494,21 +560,19 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
             if bhi >= dlo - slack:
                 hi_k = max(hi_k, kmin)
             succ_ranges.append(range(max(lo_k, kmin), min(hi_k, kmax) + 1))
-        s = sig[q]
+        s = signature(q)
         outs = []
         for q2 in itertools.product(*succ_ranges):
-            outs.extend([(o, q2) for o in labels_for(s, sig[q2])])
+            outs.extend([(o, q2) for o in labels_for(s, signature(q2))])
         if exits:
-            any_sink = True
             outs.extend([(o, SINK) for o in labels_for(s, sink_sig)])
-        transitions[q] = tuple(outs)
+        return tuple(outs)
 
-    if any_sink:
-        transitions[SINK] = tuple(
-            (o, SINK) for o in labels_for(sink_sig, sink_sig))
-
+    has_sink = any(reach_box(spec, q)[1] for q in cells)
+    states = cells + [SINK] if has_sink else cells
     return SymbolicModel(aps, tuple(cells), gamma(spec.x_in, spec),
-                         transitions, any_sink, spec.eta, spec.tau)
+                         _Transitions(states, outgoing), has_sink,
+                         spec.eta, spec.tau)
 
 
 # ---------------------------------------------------------------------------

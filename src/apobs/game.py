@@ -318,9 +318,12 @@ class Report:
 
 
 def _config_hash(spec, formula_text, tracked):
-    blob = json.dumps({"spec": _abs.system_spec_to_json(spec),
-                       "formula": formula_text,
-                       "tracked": list(tracked)}, sort_keys=True)
+    """Hash of ``json.dumps({"spec": system_spec_to_json(spec), "formula":
+    formula_text, "tracked": list(tracked)}, sort_keys=True)``, built
+    around the spec's JSON text, which is serialized once per spec."""
+    blob = (f'{{"formula": {json.dumps(formula_text)}, '
+            f'"spec": {spec.json_text}, '
+            f'"tracked": {json.dumps(list(tracked))}}}')
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -342,6 +345,11 @@ def verify(spec, formula, repeat=1, allow_unsound_tau=False,
 
     ``formula`` may be LTL text or a Formula/Nnf object.  ``model`` can
     supply a prebuilt SymbolicModel over the formula's atoms.
+
+    ``times["model"]`` covers only the up-front part of the model build:
+    the transitions of the cells the game reaches are computed on first
+    access, inside ``times["game_build"]`` (in its first run when
+    ``repeat`` > 1; later runs reuse them).
     """
     repeat = max(1, repeat)
     if isinstance(formula, str):

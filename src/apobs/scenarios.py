@@ -11,10 +11,12 @@ disturbance 0.1 m/s on speed and 0.08 rad on heading.  Regions:
     r : |x| > 2.1 or |y| > 2.1   (r_mode="or", the default)
         |x| > 2.1 and |y| > 2.1  (r_mode="and")
 
-The heading field is a counter-clockwise patrol: climb into the band of
-rows 8..15, circulate east along rows >= 13, west along rows <= 10, with
-turns at columns +-11.  The band keeps trajectories away from region
-boundaries that two APs share, so chopping stays single-change.
+The heading field is a counter-clockwise patrol: climb into the band
+8 m <= y <= 15 m, circulate east along y >= 13 m, west along y <= 10 m,
+with turns at x = +-11 m.  The band keeps trajectories away from region
+boundaries that two APs share, so chopping stays single-change.  The
+field is read at each cell centre rounded to whole metres, so every eta
+grids the same system.
 """
 from __future__ import annotations
 

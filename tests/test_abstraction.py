@@ -1,5 +1,6 @@
 """Grid quantization, cell classification, reachability, and simulation."""
 import dataclasses
+import json
 import math
 import random
 
@@ -15,6 +16,7 @@ from apobs.abstraction import (Mode, OutOfDomainError, SINK, SymbolicModel,
                                symbolic_model_to_json, system_spec_from_json,
                                system_spec_to_json, validate_tau,
                                velocity_extents, _P_E, _P_Z)
+from apobs.game import verify
 from apobs.observations import ChoppingError
 from apobs.scenarios import drone_spec
 from conftest import drone_model, reference_transitions
@@ -238,6 +240,59 @@ class TestSerialization:
         assert set(back.states) == set(model.states)
         for q in model.transitions:
             assert set(back.transitions[q]) == set(model.transitions[q])
+
+
+class TestLazyModel:
+    """Transitions are computed on first access; every way of reading the
+    model sees the same model."""
+
+    def _spec(self):
+        return SystemSpec(
+            dim=2, domain=((-6.5, 6.5), (-6.5, 6.5)), eta=1.0, tau=1.0,
+            x_in=(0.0, 0.0),
+            modes={"default": Mode(v=2.0, ev=0.2, theta=0.3, etheta=0.2),
+                   "west": Mode(u=(-1.5, 0.0), du=(0.2, 0.4))},
+            field={"kind": "table", "default": "default",
+                   "cells": {(x, y): "west" for x in range(-6, 7)
+                             for y in range(-6, 7) if (x + y) % 3 == 0}},
+            ap_regions={"a": (((0, "ge", 1.3),),),
+                        "b": (((1, "le", -2.2), (0, "le", -3.0)),)})
+
+    def test_any_read_order_gives_the_reference(self):
+        spec = self._spec()
+        aps = tuple(sorted(spec.ap_regions))
+        for drop in (True, False):
+            model = build_symbolic_model(spec, drop_multi_change=drop)
+            assert model.has_sink
+            states = list(model.transitions)
+            random.Random(7).shuffle(states)
+            for q in states:
+                assert model.transitions.get(q) is not None
+            ref = reference_transitions(spec, aps, drop)
+            assert list(model.transitions) == list(ref)
+            assert model.transitions == ref
+            fresh = build_symbolic_model(spec, drop_multi_change=drop)
+            assert json.dumps(symbolic_model_to_json(model)) == \
+                json.dumps(symbolic_model_to_json(fresh))
+
+    def test_missing_state(self):
+        model = build_symbolic_model(self._spec())
+        assert model.transitions.get((7, 0)) is None
+        assert model.transitions.get((7, 0), ()) == ()
+        assert (7, 0) not in model.transitions
+        assert (6, -6) in model.transitions and SINK in model.transitions
+        with pytest.raises(KeyError):
+            model.transitions[(7, 0)]
+        with pytest.raises(KeyError):
+            model.transitions["nowhere"]
+        assert len(model.transitions) == 13 * 13 + 1
+
+    def test_model_after_verify_is_complete(self):
+        spec = drone_spec(eta=0.25)
+        _, art = verify(spec, "G r")
+        fresh = build_symbolic_model(spec, tracked_aps=("r",))
+        assert list(art["model"].transitions.items()) == \
+            list(fresh.transitions.items())
 
 
 class TestGridCoverage:

@@ -1,15 +1,18 @@
 """Büchi game construction, solving, strategy checking, and verify()."""
+import hashlib
+import json
 import random
 
 import pytest
 
-from apobs.abstraction import SymbolicModel, SystemSpec, Mode
+from apobs.abstraction import (SymbolicModel, SystemSpec, Mode,
+                               system_spec_to_json)
 from apobs.automata import Nba
 from apobs.cli import BENCH_FORMULAS
-from apobs.game import (LOSE, WIN, BuchiGame, PipelineError, build_game,
-                        check_strategy, game_to_json, report_from_json,
-                        report_to_json, solve_buchi, solve_result_to_json,
-                        verify, winning_region_fixpoint)
+from apobs.game import (LOSE, WIN, BuchiGame, PipelineError, _config_hash,
+                        build_game, check_strategy, game_to_json,
+                        report_from_json, report_to_json, solve_buchi,
+                        solve_result_to_json, verify, winning_region_fixpoint)
 from apobs.ltl import atoms, parse_ltl, to_nnf
 from apobs.scenarios import drone_spec
 from conftest import (brute_force_w0, drone_model, rand_buchi_game,
@@ -243,6 +246,33 @@ class TestVerify:
         with pytest.raises(PipelineError) as e:
             verify(spec, "G c")  # c has no region in the spec
         assert e.value.stage == "model"
+
+    def test_config_hash_matches_definition(self):
+        def direct(spec, formula_text, tracked):
+            blob = json.dumps({"spec": system_spec_to_json(spec),
+                               "formula": formula_text,
+                               "tracked": list(tracked)}, sort_keys=True)
+            return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+        cases = [(drone_spec(), "G r & F (g & F p)", ("g", "p", "r")),
+                 (_spec_1d(), "G p", ("p",)),
+                 (drone_spec(eta=0.5), 'F "é" & G "∂"', ("∂", "é")),
+                 (drone_spec(), "", ())]
+        for spec, text, tracked in cases:
+            assert _config_hash(spec, text, tracked) == \
+                direct(spec, text, tracked)
+            # the second call reads the cached spec text
+            assert _config_hash(spec, text, tracked) == \
+                direct(spec, text, tracked)
+
+    def test_drone_field_in_metres(self):
+        # the patrol field is evaluated in metres, so eta = 0.25 grids the
+        # same system as eta = 1; it was INCONCLUSIVE with a 13046+11255
+        # game when the field read raw cell indices
+        report, _ = verify(drone_spec(eta=0.25), "F G r")
+        assert report.verdict == "VERIFIED"
+        assert (report.sizes["game_player"],
+                report.sizes["game_opponent"]) == (5586, 5575)
 
 
 class TestSerialization:
