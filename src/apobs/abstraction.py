@@ -20,8 +20,6 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .observations import OBS, ChoppingError, MultiChange, UndefinedSlice
 
 __all__ = [
@@ -61,6 +59,8 @@ def region_contains(region, x):
 
 def region_contains_np(region, pts):
     """Vectorized membership for an (n_points, dim) array."""
+    import numpy as np
+
     out = np.zeros(len(pts), dtype=bool)
     for conj in region:
         m = np.ones(len(pts), dtype=bool)
@@ -587,6 +587,10 @@ def simulate_trajectory(spec, horizon, seed, tracked_aps=None,
     Raises a ChoppingError subclass when a step violates the chopping
     assumptions at this sampling resolution.
     """
+    # numpy is imported here, not at module level, so that ``import apobs``
+    # does not pay for it; only this oracle and region_contains_np use it
+    import numpy as np
+
     aps = tuple(sorted(tracked_aps if tracked_aps is not None else
                        spec.ap_regions.keys()))
     rng = random.Random(seed)

@@ -1,16 +1,16 @@
 """AP-observation automata: construction from NNF formulas, pruning,
 minimization, degeneralization, and lasso-word membership.
 
-States of the generalized automaton are consistent subformula valuations
-(tuples of observations aligned with the subformula closure) plus a
-distinguished initial state Q0.  Transition labels are observation maps
-over the formula's atoms; by construction each edge's label equals its
-target valuation restricted to atoms.
+States of the generalized automaton are the consistent subformula
+valuations (tuples of observations aligned with the subformula closure)
+that are reachable from a distinguished initial state Q0, plus Q0 itself.
+Transition labels are observation maps over the formula's atoms; by
+construction each edge's label equals its target valuation restricted to
+atoms.
 """
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 from .ltl import (NAnd, NFalse, NOr, NRelease, NTrue, NUntil, NegAtom, Nnf,
@@ -41,10 +41,7 @@ class Gba:
         return len(self.states) + 1  # counting q0
 
     def successors(self):
-        adj = {}
-        for s, o, d in self.edges:
-            adj.setdefault(s, []).append((o, d))
-        return adj
+        return _successors(self.edges)
 
 
 @dataclass(frozen=True)
@@ -61,10 +58,15 @@ class Nba:
         return len(self.states)
 
     def successors(self):
-        adj = {}
-        for s, o, d in self.edges:
-            adj.setdefault(s, []).append((o, d))
-        return adj
+        return _successors(self.edges)
+
+
+def _successors(edges):
+    """Map each source state to its list of (label, target) pairs."""
+    adj = {}
+    for s, o, d in edges:
+        adj.setdefault(s, []).append((o, d))
+    return adj
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +128,12 @@ def _consistent_valuations_bruteforce(sub):
 def build_gba(f, strategy="bottomup"):
     """Build the generalized AP-observation automaton for an NNF formula.
 
-    ``strategy`` is "bottomup" (prune partial assignments early) or
-    "bruteforce" (filter the full observation product); both yield the same
-    state set.
+    Its states are the consistent valuations reachable from Q0: the build
+    explores forward from Q0, and a valuation gets outgoing edges only once
+    an edge reaches it.  ``strategy`` only picks how the consistent
+    valuations are enumerated, "bottomup" (prune partial assignments early)
+    or "bruteforce" (filter the full observation product); both yield the
+    same automaton.
     """
     if not isinstance(f, Nnf):
         f = to_nnf(f)
@@ -138,31 +143,36 @@ def build_gba(f, strategy="bottomup"):
     ap_idx = [(p, idx[PosAtom(p)]) for p in aps]
 
     if strategy == "bottomup":
-        states = _consistent_valuations_bottomup(sub)
+        valuations = _consistent_valuations_bottomup(sub)
     elif strategy == "bruteforce":
-        states = _consistent_valuations_bruteforce(sub)
+        valuations = _consistent_valuations_bruteforce(sub)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    def label(v):
-        return tuple((p, v[i]) for p, i in ap_idx)
-
     # the transition condition compares a source signature (observation in
-    # {A,E}, per subformula) with a target signature (in {A,Z})
+    # {A,E}, per subformula) with a target signature (in {A,Z}); each
+    # target is stored with its label
     by_target_sig = {}
-    for v in states:
+    for v in valuations:
         sig = tuple(o in ("A", "Z") for o in v)
-        by_target_sig.setdefault(sig, []).append(v)
+        by_target_sig.setdefault(sig, []).append(
+            (tuple((p, v[i]) for p, i in ap_idx), v))
 
-    edges = set()
-    for v in states:
-        sig = tuple(o in ("A", "E") for o in v)
-        for v2 in by_target_sig.get(sig, ()):
-            edges.add((v, label(v2), v2))
+    # Q0 reads every valuation whose root starts true (A or Z)
     root = len(sub) - 1
-    for v2 in states:
-        if v2[root] in ("A", "Z"):
-            edges.add((Q0, label(v2), v2))
+    q0_targets = [t for sig, ts in by_target_sig.items() if sig[root]
+                  for t in ts]
+    edges = {(Q0, lbl, v) for lbl, v in q0_targets}
+    stack = [v for _, v in q0_targets]
+    states = set(stack)
+    while stack:
+        v = stack.pop()
+        for lbl, v2 in by_target_sig.get(
+                tuple(o in ("A", "E") for o in v), ()):
+            edges.add((v, lbl, v2))
+            if v2 not in states:
+                states.add(v2)
+                stack.append(v2)
 
     accepting = []
     accepting_for = []
@@ -490,11 +500,10 @@ def accepts_lasso(a, w):
                 seen.add(u)
                 stack.append(u)
 
-    adj2 = {v: [d for d in ds] for v, ds in adj.items()}
-    for comp in _sccs(adj2, sorted(seen, key=repr)):
+    for comp in _sccs(adj, sorted(seen, key=repr)):
         comp_set = set(comp)
         nontrivial = len(comp) > 1 or any(
-            d in comp_set for d in adj2.get(comp[0], ()))
+            d in comp_set for d in adj.get(comp[0], ()))
         if not nontrivial:
             continue
         comp_states = {s for _, s in comp}
@@ -507,9 +516,14 @@ def accepts_lasso(a, w):
 # Pipeline and serialization
 
 def translate(f, strategy="bottomup"):
-    """Full formula-side pipeline: build, restrict to valid signal-word
-    letters, trim to the reachable deadlock-free part, minimize,
-    degeneralize.  Returns a dict with all intermediate automata.
+    """Full formula-side pipeline: build the part reachable from Q0,
+    restrict to valid signal-word letters, trim to the reachable
+    deadlock-free part, minimize, degeneralize.  Returns a dict with all
+    intermediate automata under "gba", "trimmed", "minimized" and "nba".
+
+    ``build_gba`` already keeps only valuations reachable from Q0 over all
+    letters; ``trim`` then drops what becomes unreachable or deadlocked
+    once the invalid letters are gone.
 
     Note: the trim step removes deadlocked/unreachable states but keeps
     states without accepting continuations (they are harmless for language

@@ -5,9 +5,10 @@ import itertools
 import random
 from fractions import Fraction
 
+from apobs.automata import Gba, Q0, _consistent_valuations_bottomup
 from apobs.ltl import (Atom, And, FalseF, Not, Or, Release, TrueF, Until,
                        NAnd, NFalse, NOr, NRelease, NTrue, NUntil, NegAtom,
-                       PosAtom, subformulas)
+                       Nnf, PosAtom, formula_str, subformulas, to_nnf)
 from apobs.observations import OBS, PiecewiseSignal, SignalWord, is_signal_word
 
 
@@ -39,6 +40,57 @@ def rand_nnf(rng, depth, aps):
     cls = rng.choice([NAnd, NOr, NUntil, NRelease])
     return cls(rand_nnf(rng, depth - 1, aps),
                rand_nnf(rng, depth - 1, aps))
+
+
+# ---------------------------------------------------------------------------
+# Eager automaton builder (reference for the forward build_gba)
+
+def full_gba_reference(f):
+    """The generalized automaton over every consistent valuation, with
+    every edge the transition condition allows, reachable from Q0 or not:
+    the construction ``build_gba`` restricts to the part reachable from
+    Q0."""
+    if not isinstance(f, Nnf):
+        f = to_nnf(f)
+    sub = subformulas(f)
+    idx = {g: i for i, g in enumerate(sub)}
+    aps = tuple(sorted(g.name for g in sub if isinstance(g, PosAtom)))
+    states = _consistent_valuations_bottomup(sub)
+
+    def label(v):
+        return tuple((p, v[idx[PosAtom(p)]]) for p in aps)
+
+    # an edge v -> v2 exists when v's observations in {A,E} are exactly
+    # v2's observations in {A,Z}, subformula by subformula
+    by_target_sig = {}
+    for v in states:
+        sig = tuple(o in ("A", "Z") for o in v)
+        by_target_sig.setdefault(sig, []).append(v)
+    edges = set()
+    for v in states:
+        sig = tuple(o in ("A", "E") for o in v)
+        for v2 in by_target_sig.get(sig, ()):
+            edges.add((v, label(v2), v2))
+    root = len(sub) - 1
+    for v2 in states:
+        if v2[root] in ("A", "Z"):
+            edges.add((Q0, label(v2), v2))
+
+    accepting = []
+    accepting_for = []
+    for g in sub:
+        if isinstance(g, NUntil):
+            i, r = idx[g], idx[g.right]
+            accepting.append(frozenset(
+                v for v in states if v[r] != "N" or v[i] != "A"))
+            accepting_for.append(formula_str(g))
+        elif isinstance(g, NRelease):
+            i, r = idx[g], idx[g.right]
+            accepting.append(frozenset(
+                v for v in states if v[r] != "A" or v[i] != "N"))
+            accepting_for.append(formula_str(g))
+    return Gba(aps, frozenset(states), frozenset(edges),
+               tuple(accepting), tuple(accepting_for))
 
 
 # ---------------------------------------------------------------------------

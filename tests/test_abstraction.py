@@ -2,11 +2,16 @@
 import dataclasses
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import apobs
 from apobs.abstraction import (Mode, OutOfDomainError, SINK, SymbolicModel,
                                SystemSpec, TauValidationError, box_vs_region,
                                build_symbolic_model, gamma, mode_for_cell,
@@ -407,3 +412,13 @@ class TestRandomSpecs:
                 steps += horizon
                 break
         assume(steps > 0)
+
+
+def test_import_does_not_load_numpy():
+    # numpy is only needed by the Theorem 1 oracle (simulate_trajectory),
+    # which imports it on first call
+    src = str(Path(apobs.__file__).resolve().parents[1])
+    subprocess.run(
+        [sys.executable, "-c",
+         "import apobs, sys; assert 'numpy' not in sys.modules"],
+        env=dict(os.environ, PYTHONPATH=src), check=True)

@@ -8,9 +8,13 @@ from apobs.automata import (Gba, Nba, Q0, accepts_lasso, automaton_from_json,
                             automaton_to_dot, automaton_to_json, build_gba,
                             degeneralize, minimize, prune,
                             restrict_valid_letters, translate, trim)
-from apobs.ltl import parse_ltl, to_nnf, atoms
+from apobs.cli import BENCH_FORMULAS
+from apobs.ltl import formula_str, parse_ltl, to_nnf, atoms
 from apobs.observations import SignalWord, chop, eval_signal
-from conftest import rand_nnf, rand_signal
+from conftest import full_gba_reference, rand_nnf, rand_signal
+
+DEEP_FORMULAS = ("G r & F (g & F (p & F (c & F b)))",
+                 "G F g & G F p & G F c & G r")
 
 
 def _gfg_reference():
@@ -74,6 +78,69 @@ class TestBuildGba:
     def test_accepting_sets_named(self):
         a = build_gba(to_nnf(parse_ltl("G F g")))
         assert list(a.accepting_for) == ["true U g", "false R true U g"]
+
+
+def _reachable_part(a):
+    """The sub-automaton of ``a`` reachable from Q0."""
+    adj = a.successors()
+    seen = {Q0}
+    stack = [Q0]
+    while stack:
+        for _, d in adj.get(stack.pop(), ()):
+            if d not in seen:
+                seen.add(d)
+                stack.append(d)
+    states = frozenset(seen - {Q0})
+    return Gba(a.aps, states,
+               frozenset(e for e in a.edges if e[0] in seen),
+               tuple(fs & states for fs in a.accepting), a.accepting_for)
+
+
+class TestForwardBuild:
+    """``build_gba`` explores from Q0; the eager reference builds every
+    consistent valuation and every edge."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = random.Random(53)
+        formulas = [rand_nnf(rng, 3, ("p", "q", "r")) for _ in range(150)]
+        formulas += [to_nnf(parse_ltl(f))
+                     for f in BENCH_FORMULAS + DEEP_FORMULAS]
+        return [(f, full_gba_reference(f)) for f in formulas]
+
+    def test_equals_reachable_part_of_reference(self, cases):
+        smaller = 0
+        for f, ref in cases:
+            a = build_gba(f)
+            part = _reachable_part(ref)
+            assert a.states == part.states, formula_str(f)
+            assert a.edges == part.edges, formula_str(f)
+            assert a.accepting == part.accepting, formula_str(f)
+            assert a.accepting_for == part.accepting_for, formula_str(f)
+            smaller += a.n_states < ref.n_states
+        # the cases include valuations that Q0 never reaches
+        assert smaller > 0
+
+    def test_translate_stages_equal_reference_stages(self, cases):
+        for f, ref in cases:
+            art = translate(f)
+            trimmed = trim(restrict_valid_letters(ref))
+            minimized = minimize(trimmed)
+            assert art["trimmed"] == trimmed, formula_str(f)
+            assert art["minimized"] == minimized, formula_str(f)
+            assert art["nba"] == degeneralize(minimized), formula_str(f)
+
+    def test_deep_formula_sizes(self):
+        f = to_nnf(parse_ltl(DEEP_FORMULAS[0]))
+        raw = build_gba(f)
+        assert (raw.n_states, len(raw.edges)) == (1857, 31016)
+        restricted = restrict_valid_letters(raw)
+        assert len(restricted.edges) == 9649
+        trimmed = trim(restricted)
+        assert (trimmed.n_states, len(trimmed.edges)) == (581, 3269)
+        minimized = minimize(trimmed)
+        assert minimized.n_states == 237
+        assert degeneralize(minimized).n_states == 1147
 
 
 class TestPipelineStages:
