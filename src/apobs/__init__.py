@@ -9,23 +9,22 @@ from .ltl import (
 )
 from .observations import (
     OBS, consistency, SignalWord, PiecewiseSignal, is_signal_word,
-    chop, eval_signal, formula_observation, unique_run_oracle,
+    chop, eval_signal, unique_run_oracle,
     ChoppingError, UndefinedSlice, MultiChange, IncommensurableError,
 )
 from .automata import (
-    build_gba, prune, trim, minimize, degeneralize, translate,
+    build_gba, trim, minimize, degeneralize, translate,
     accepts_lasso, automaton_to_json, automaton_from_json, automaton_to_dot,
 )
 from .abstraction import (
-    SystemSpec, Mode, SymbolicModel, gamma, rho_Z, rho_E, reach_box,
+    SystemSpec, Mode, SymbolicModel, gamma, reach_box,
     validate_tau, build_symbolic_model, simulate_trajectory,
     system_spec_to_json, system_spec_from_json,
     symbolic_model_to_json, symbolic_model_from_json,
     TauValidationError, OutOfDomainError,
 )
 from .game import (
-    build_game, solve_buchi, winning_region_fixpoint, check_strategy,
-    verify, Report, PipelineError,
+    build_game, solve_buchi, verify, Report, PipelineError,
     report_to_json, report_from_json,
 )
 from .scenarios import drone_spec, make_scenario

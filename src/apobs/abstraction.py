@@ -25,7 +25,7 @@ from .observations import OBS, ChoppingError, MultiChange, UndefinedSlice
 __all__ = [
     "Mode", "SystemSpec", "SymbolicModel", "TauValidation",
     "TauValidationError", "OutOfDomainError",
-    "gamma", "rho_Z", "rho_E", "reach_box", "build_symbolic_model",
+    "gamma", "reach_box", "build_symbolic_model",
     "validate_tau", "simulate_trajectory",
     "system_spec_to_json", "system_spec_from_json",
     "symbolic_model_to_json", "symbolic_model_from_json",
@@ -187,9 +187,6 @@ class SystemSpec:
         ranges = [range(kmin, kmax + 1) for kmin, kmax in self.grid_ranges]
         return [tuple(c) for c in itertools.product(*ranges)]
 
-    def center(self, cell):
-        return tuple(k * self.eta for k in cell)
-
     def cell_box(self, cell):
         """Closed box of a grid cell, k*eta +- eta/2 per axis.  A boundary
         cell reaches the domain edge, so the cells cover the domain even
@@ -326,22 +323,8 @@ def gamma(x, spec):
     return tuple(cell)
 
 
-def _rho_cell(spec, cell, ap):
-    if cell == SINK:
-        return "?"
-    return box_vs_region(spec.ap_regions[ap], spec.cell_box(cell))
-
-
-def rho_Z(spec, q, q2, p):
-    """Cell classification of p at the start of the step (depends on q)."""
-    return _rho_cell(spec, q, p)
-
-
-def rho_E(spec, q, q2, p):
-    """Cell classification of p at the end of the step (depends on q')."""
-    return _rho_cell(spec, q2, p)
-
-
+# observations of an AP allowed by its classification ('+', '-', '?') on
+# the start cell (_P_Z) and on the end cell (_P_E) of a step
 _P_Z = {"+": frozenset("AZ"), "-": frozenset("EN"), "?": frozenset(OBS)}
 _P_E = {"+": frozenset("AE"), "-": frozenset("ZN"), "?": frozenset(OBS)}
 
@@ -383,8 +366,9 @@ def _ap_thresholds(region):
     return out
 
 
-def validate_tau(spec, tracked_aps=None):
-    """Check tau against the minimum AP boundary separation.
+def validate_tau(spec):
+    """Check tau against the minimum AP boundary separation over every AP
+    region of the spec, tracked by a query or not.
 
     The distance between two APs' boundaries is the smallest strictly
     positive gap between their half-space thresholds on a shared axis
@@ -394,8 +378,7 @@ def validate_tau(spec, tracked_aps=None):
     assumption tolerates only where the boundary pieces do not actually
     overlap on a trajectory.
     """
-    aps = sorted(tracked_aps if tracked_aps is not None else
-                 spec.ap_regions.keys())
+    aps = sorted(spec.ap_regions)
     v_max = spec.v_max
     thr = {p: _ap_thresholds(spec.ap_regions[p]) for p in aps}
     distances = {}

@@ -1,4 +1,4 @@
-"""AP-observation automata: construction from NNF formulas, pruning,
+"""AP-observation automata: construction from NNF formulas, trimming,
 minimization, degeneralization, and lasso-word membership.
 
 States of the generalized automaton are the consistent subformula
@@ -18,7 +18,7 @@ from .ltl import (NAnd, NFalse, NOr, NRelease, NTrue, NUntil, NegAtom, Nnf,
 from .observations import NEG, OBS, consistency, is_signal_word
 
 __all__ = [
-    "Q0", "Gba", "Nba", "build_gba", "prune", "trim",
+    "Q0", "Gba", "Nba", "build_gba", "trim",
     "restrict_valid_letters", "minimize", "degeneralize", "accepts_lasso",
     "translate", "automaton_to_json", "automaton_from_json",
     "automaton_to_dot",
@@ -101,39 +101,12 @@ def _consistent_valuations_bottomup(sub):
     return partials
 
 
-def _consistent_valuations_bruteforce(sub):
-    """Filter the full product O^|sub| by the consistency conditions."""
-    idx = {g: i for i, g in enumerate(sub)}
-    out = []
-    for v in itertools.product(OBS, repeat=len(sub)):
-        ok = True
-        for i, g in enumerate(sub):
-            if isinstance(g, NTrue):
-                ok = v[i] == "A"
-            elif isinstance(g, NFalse):
-                ok = v[i] == "N"
-            elif isinstance(g, NegAtom):
-                ok = v[i] == NEG[v[idx[PosAtom(g.name)]]]
-            elif isinstance(g, (NAnd, NOr, NUntil, NRelease)):
-                conn = {NAnd: "and", NOr: "or", NUntil: "U",
-                        NRelease: "R"}[type(g)]
-                ok = v[i] in consistency(conn, v[idx[g.left]], v[idx[g.right]])
-            if not ok:
-                break
-        if ok:
-            out.append(v)
-    return out
-
-
-def build_gba(f, strategy="bottomup"):
+def build_gba(f):
     """Build the generalized AP-observation automaton for an NNF formula.
 
     Its states are the consistent valuations reachable from Q0: the build
     explores forward from Q0, and a valuation gets outgoing edges only once
-    an edge reaches it.  ``strategy`` only picks how the consistent
-    valuations are enumerated, "bottomup" (prune partial assignments early)
-    or "bruteforce" (filter the full observation product); both yield the
-    same automaton.
+    an edge reaches it.
     """
     if not isinstance(f, Nnf):
         f = to_nnf(f)
@@ -142,12 +115,7 @@ def build_gba(f, strategy="bottomup"):
     aps = tuple(sorted(g.name for g in sub if isinstance(g, PosAtom)))
     ap_idx = [(p, idx[PosAtom(p)]) for p in aps]
 
-    if strategy == "bottomup":
-        valuations = _consistent_valuations_bottomup(sub)
-    elif strategy == "bruteforce":
-        valuations = _consistent_valuations_bruteforce(sub)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    valuations = _consistent_valuations_bottomup(sub)
 
     # the transition condition compares a source signature (observation in
     # {A,E}, per subformula) with a target signature (in {A,Z}); each
@@ -193,7 +161,7 @@ def build_gba(f, strategy="bottomup"):
 
 
 # ---------------------------------------------------------------------------
-# Pruning
+# Letter restriction and trimming
 
 def _reachable(adj, start):
     seen = {start}
@@ -204,27 +172,6 @@ def _reachable(adj, start):
             if d not in seen:
                 seen.add(d)
                 stack.append(d)
-    return seen
-
-
-def _can_reach(adj, targets, universe):
-    """States in ``universe`` with a (possibly empty) path to ``targets``
-    inside ``universe``."""
-    pred = {}
-    for s, outs in adj.items():
-        if s not in universe:
-            continue
-        for _, d in outs:
-            if d in universe:
-                pred.setdefault(d, []).append(s)
-    seen = set(t for t in targets if t in universe)
-    stack = list(seen)
-    while stack:
-        s = stack.pop()
-        for p in pred.get(s, ()):
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
     return seen
 
 
@@ -258,43 +205,6 @@ def trim(a):
                       if (s == Q0 or s in live) and d in live)
     return Gba(a.aps, frozenset(live), edges,
                tuple(frozenset(fs & live) for fs in a.accepting),
-               a.accepting_for)
-
-
-def prune(a):
-    """Keep exactly the states from which an accepting run exists, plus Q0,
-    restricted to the part reachable from Q0.
-
-    Computed as the largest sub-automaton in which every state has an
-    outgoing edge and can reach every accepting set, iterated to fixpoint.
-    From any state of that sub-automaton one can visit each accepting set,
-    move on, and repeat forever, so the fixpoint is exactly the set of
-    states with an accepting run.
-    """
-    live = set(a.states)
-    while True:
-        adj = {}
-        for s, o, d in a.edges:
-            if s in live and d in live:
-                adj.setdefault(s, []).append((o, d))
-        with_out = {s for s in live if adj.get(s)}
-        new = set(with_out)
-        for fset in a.accepting:
-            new &= _can_reach(adj, fset & with_out, with_out)
-        if new == live:
-            break
-        live = new
-
-    adj = {}
-    for s, o, d in a.edges:
-        if (s == Q0 or s in live) and d in live:
-            adj.setdefault(s, []).append((o, d))
-    reach = _reachable(adj, Q0) - {Q0}
-    keep = live & reach
-    edges = frozenset((s, o, d) for s, o, d in a.edges
-                      if (s == Q0 or s in keep) and d in keep)
-    return Gba(a.aps, frozenset(keep), edges,
-               tuple(frozenset(fs & keep) for fs in a.accepting),
                a.accepting_for)
 
 
@@ -515,7 +425,7 @@ def accepts_lasso(a, w):
 # ---------------------------------------------------------------------------
 # Pipeline and serialization
 
-def translate(f, strategy="bottomup"):
+def translate(f):
     """Full formula-side pipeline: build the part reachable from Q0,
     restrict to valid signal-word letters, trim to the reachable
     deadlock-free part, minimize, degeneralize.  Returns a dict with all
@@ -527,11 +437,10 @@ def translate(f, strategy="bottomup"):
 
     Note: the trim step removes deadlocked/unreachable states but keeps
     states without accepting continuations (they are harmless for language
-    and membership checks); the stronger semantic ``prune`` is available
-    separately.  This exact stage combination reproduces the published
-    per-formula automaton sizes.
+    and membership checks).  This exact stage combination reproduces the
+    published per-formula automaton sizes.
     """
-    raw = build_gba(f, strategy=strategy)
+    raw = build_gba(f)
     trimmed = trim(restrict_valid_letters(raw))
     merged = minimize(trimmed)
     nba = degeneralize(merged)

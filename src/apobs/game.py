@@ -18,19 +18,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 import time
 from dataclasses import dataclass, field
 
 from . import abstraction as _abs
 from . import automata as _aut
 from . import ltl as _ltl
-from . import observations as _obs
 
 __all__ = [
     "BuchiGame", "SolveResult", "Report", "PipelineError",
-    "build_game", "solve_buchi", "winning_region_fixpoint",
-    "check_strategy", "verify",
+    "build_game", "solve_buchi", "verify",
     "solve_result_to_json", "report_to_json", "report_from_json",
     "game_to_json",
 ]
@@ -244,64 +241,6 @@ def solve_buchi(game):
                        bool(live[index[game.initial]]), stats)
 
 
-def winning_region_fixpoint(game):
-    """Independent oracle for the Player winning region: the nested
-    fixpoint nu Y. mu X. (Pre0(X) | (F & Pre0(Y)))."""
-    def pre0(s):
-        out = set()
-        for v in game.vertices:
-            succs = game.edges[v]
-            if game.owner[v] == 0:
-                if any(w in s for w in succs):
-                    out.add(v)
-            elif all(w in s for w in succs):
-                out.add(v)
-        return out
-
-    y = set(game.vertices)
-    while True:
-        x = set()
-        while True:
-            fy = game.accepting & pre0(y)
-            x2 = pre0(x) | fy
-            if x2 == x:
-                break
-            x = x2
-        if x == y:
-            return frozenset(y)
-        y = x
-
-
-def check_strategy(game, strategy0, trials=200, horizon=None, seed=0):
-    """Falsification harness: play the Player strategy against random
-    positional Opponent strategies from the initial vertex; after the
-    first visit to an accepting vertex, every window of |vertices| steps
-    must contain another visit.  Returns True iff all trials pass."""
-    n = len(game.vertices)
-    if horizon is None:
-        horizon = 4 * n
-    rng = random.Random(seed)
-    for _ in range(trials):
-        pi1 = {v: rng.choice(game.edges[v]) for v in game.vertices
-               if game.owner[v] == 1}
-        v = game.initial
-        last_accept = None
-        for step in range(horizon):
-            if v in game.accepting:
-                last_accept = step
-            elif last_accept is not None and step - last_accept > n:
-                return False
-            if game.owner[v] == 0:
-                if v not in strategy0:
-                    raise KeyError(f"strategy undefined at {v!r}")
-                v = strategy0[v]
-            else:
-                v = pi1[v]
-        if last_accept is None or horizon - last_accept > n:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # End-to-end pipeline
 
@@ -336,8 +275,7 @@ def _stage(name, fn, *args, **kwargs):
         raise PipelineError(name, e) from e
 
 
-def verify(spec, formula, repeat=1, allow_unsound_tau=False,
-           model=None, notes=None):
+def verify(spec, formula, repeat=1, allow_unsound_tau=False, model=None):
     """Full pipeline: parse/NNF -> automaton -> symbolic model -> game ->
     solve.  The verdict is VERIFIED when Player wins the game, otherwise
     INCONCLUSIVE (a lost game proves nothing).  Timings are wall-clock
@@ -386,12 +324,6 @@ def verify(spec, formula, repeat=1, allow_unsound_tau=False,
         "game_player": game.n_player,
         "game_opponent": game.n_opponent,
     }
-    all_notes = {"tracked_aps": list(tracked),
-                 "allow_unsound_tau": allow_unsound_tau,
-                 "redirected_player": len(game.redirected_player),
-                 "redirected_opponent": len(game.redirected_opponent)}
-    if notes:
-        all_notes.update(notes)
     report = Report(
         schema="apobs-report/1",
         formula=formula_text,
@@ -400,7 +332,10 @@ def verify(spec, formula, repeat=1, allow_unsound_tau=False,
         times={k: round(v, 6) for k, v in times.items()},
         repeat=repeat,
         config_hash=_config_hash(spec, formula_text, tracked),
-        notes=all_notes,
+        notes={"tracked_aps": list(tracked),
+               "allow_unsound_tau": allow_unsound_tau,
+               "redirected_player": len(game.redirected_player),
+               "redirected_opponent": len(game.redirected_opponent)},
     )
     return report, {"nnf": nnf, "nba": nba, "model": model,
                     "game": game, "solve": result}

@@ -21,19 +21,18 @@ This module provides:
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ltl import (NAnd, NFalse, NOr, NRelease, NTrue, NUntil, NegAtom,
-                  PosAtom, formula_str, subformulas)
+                  PosAtom, subformulas)
 
 __all__ = [
     "OBS", "NEG", "consistency",
     "SignalWord", "is_signal_word", "signal_word_to_json",
     "signal_word_from_json",
     "PiecewiseSignal", "piecewise_signal_to_json", "piecewise_signal_from_json",
-    "chop", "eval_signal", "formula_observation", "unique_run_oracle",
+    "chop", "eval_signal", "unique_run_oracle",
     "ValuationLasso",
     "ChoppingError", "UndefinedSlice", "MultiChange", "IncommensurableError",
 ]
@@ -48,8 +47,7 @@ NEG = {"A": "N", "N": "A", "Z": "E", "E": "Z"}
 # UNTIL columns are hard-coded; OR and RELEASE are derived by duality
 #   c_or(o1,o2) = not c_and(not o1, not o2)
 #   c_R(o1,o2)  = not c_U(not o1, not o2)
-# and cross-checked below against hard-coded copies of the published
-# columns.
+# The test suite checks both derived tables against the published columns.
 
 _AND = {
     ("A", "A"): "A", ("A", "Z"): "Z", ("A", "E"): "E", ("A", "N"): "N",
@@ -63,22 +61,6 @@ _UNTIL = {
     ("Z", "A"): "A", ("Z", "Z"): "Z", ("Z", "E"): "A", ("Z", "N"): "N",
     ("E", "A"): "A", ("E", "Z"): "AZ", ("E", "E"): "E", ("E", "N"): "EN",
     ("N", "A"): "A", ("N", "Z"): "Z", ("N", "E"): "E", ("N", "N"): "N",
-}
-
-# reference copies of the published OR / RELEASE columns, used only to
-# cross-check the duality derivation
-_OR_REF = {
-    ("A", "A"): "A", ("A", "Z"): "A", ("A", "E"): "A", ("A", "N"): "A",
-    ("Z", "A"): "A", ("Z", "Z"): "Z", ("Z", "E"): "A", ("Z", "N"): "Z",
-    ("E", "A"): "A", ("E", "Z"): "A", ("E", "E"): "E", ("E", "N"): "E",
-    ("N", "A"): "A", ("N", "Z"): "Z", ("N", "E"): "E", ("N", "N"): "N",
-}
-
-_RELEASE_REF = {
-    ("A", "A"): "A", ("A", "Z"): "Z", ("A", "E"): "E", ("A", "N"): "N",
-    ("Z", "A"): "AZ", ("Z", "Z"): "Z", ("Z", "E"): "EN", ("Z", "N"): "N",
-    ("E", "A"): "A", ("E", "Z"): "N", ("E", "E"): "E", ("E", "N"): "N",
-    ("N", "A"): "AN", ("N", "Z"): "N", ("N", "E"): "EN", ("N", "N"): "N",
 }
 
 
@@ -102,10 +84,6 @@ _TABLES = {
     "R": _normalize(_dualize(_UNTIL)),
 }
 
-assert _TABLES["or"] == _normalize(_OR_REF), "OR duality cross-check failed"
-assert _TABLES["R"] == _normalize(_RELEASE_REF), \
-    "RELEASE duality cross-check failed"
-
 _CONN_ALIASES = {
     "and": "and", "&": "and", "∧": "and",
     "or": "or", "|": "or", "∨": "or",
@@ -126,18 +104,6 @@ def consistency(connective, o1, o2):
     if o1 not in OBS or o2 not in OBS:
         raise ValueError(f"not observations: {o1!r}, {o2!r}")
     return _TABLES[conn][(o1, o2)]
-
-
-def _conn_of(f):
-    if isinstance(f, NAnd):
-        return "and"
-    if isinstance(f, NOr):
-        return "or"
-    if isinstance(f, NUntil):
-        return "U"
-    if isinstance(f, NRelease):
-        return "R"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -604,37 +570,6 @@ def chop(signal, tau, aps=None):
         # cannot happen for a well-formed signal; guard anyway
         raise ChoppingError(f"chopped word is not a signal word: {why}")
     return word
-
-
-def formula_observation(signal, f, k, tau):
-    """Observation of formula f over slice k ([k*tau, (k+1)*tau]).
-
-    The dense-time truth signal of any NNF formula over a piecewise-constant
-    signal is itself piecewise-constant with left-closed switches, so the
-    classification below is total.
-    """
-    return _formula_observations(signal, [f], k, k + 1, tau)[0][f]
-
-
-def _formula_observations(signal, formulas, k_lo, k_hi, tau):
-    """Observations of several formulas over slices k_lo..k_hi-1 (shared
-    position structure; used by tests that classify whole subformula rows)."""
-    tau = _to_frac(tau)
-    cuts = [k * tau for k in range(k_lo, k_hi + 1)]
-    pl = _PositionLasso(signal, cuts=cuts)
-    out = []
-    for k in range(k_lo, k_hi):
-        idxs = _slice_positions(pl, k, tau)
-        kinds = [pl.kinds[i] for i in idxs]
-        row = {}
-        for f in formulas:
-            tv = pl.truth(f)
-            o = _classify_positions([tv[i] for i in idxs], kinds, True)
-            if o is None:
-                raise UndefinedSlice(k, formula_str(f))
-            row[f] = o
-        out.append(row)
-    return out
 
 
 # ---------------------------------------------------------------------------

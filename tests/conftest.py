@@ -5,11 +5,16 @@ import itertools
 import random
 from fractions import Fraction
 
-from apobs.automata import Gba, Q0, _consistent_valuations_bottomup
+from apobs.abstraction import SINK, _P_E, _P_Z, box_vs_region, reach_box
+from apobs.automata import (Gba, Q0, _consistent_valuations_bottomup,
+                            _reachable, _sccs)
 from apobs.ltl import (Atom, And, FalseF, Not, Or, Release, TrueF, Until,
                        NAnd, NFalse, NOr, NRelease, NTrue, NUntil, NegAtom,
                        Nnf, PosAtom, formula_str, subformulas, to_nnf)
-from apobs.observations import OBS, PiecewiseSignal, SignalWord, is_signal_word
+from apobs.observations import (NEG, OBS, PiecewiseSignal, SignalWord,
+                                UndefinedSlice, _PositionLasso,
+                                _classify_positions, _slice_positions,
+                                _to_frac, consistency, is_signal_word)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +48,32 @@ def rand_nnf(rng, depth, aps):
 
 
 # ---------------------------------------------------------------------------
-# Eager automaton builder (reference for the forward build_gba)
+# Reference valuation enumerator and eager automaton builder (references
+# for build_gba)
+
+def _consistent_valuations_bruteforce(sub):
+    """Filter the full product O^|sub| by the consistency conditions."""
+    idx = {g: i for i, g in enumerate(sub)}
+    out = []
+    for v in itertools.product(OBS, repeat=len(sub)):
+        ok = True
+        for i, g in enumerate(sub):
+            if isinstance(g, NTrue):
+                ok = v[i] == "A"
+            elif isinstance(g, NFalse):
+                ok = v[i] == "N"
+            elif isinstance(g, NegAtom):
+                ok = v[i] == NEG[v[idx[PosAtom(g.name)]]]
+            elif isinstance(g, (NAnd, NOr, NUntil, NRelease)):
+                conn = {NAnd: "and", NOr: "or", NUntil: "U",
+                        NRelease: "R"}[type(g)]
+                ok = v[i] in consistency(conn, v[idx[g.left]], v[idx[g.right]])
+            if not ok:
+                break
+        if ok:
+            out.append(v)
+    return out
+
 
 def full_gba_reference(f):
     """The generalized automaton over every consistent valuation, with
@@ -91,6 +121,151 @@ def full_gba_reference(f):
             accepting_for.append(formula_str(g))
     return Gba(aps, frozenset(states), frozenset(edges),
                tuple(accepting), tuple(accepting_for))
+
+
+def _gfg_reference():
+    """The four-state automaton for G F g, hand-derived from the
+    construction: q3 merges the two valuation states with g in {A,E}."""
+    g = lambda o: (("g", o),)
+    edges = {
+        (Q0, g("A"), "q3"), (Q0, g("E"), "q3"),
+        (Q0, g("Z"), "q2"), (Q0, g("N"), "q1"),
+        ("q1", g("E"), "q3"), ("q1", g("N"), "q1"),
+        ("q2", g("E"), "q3"), ("q2", g("N"), "q1"),
+        ("q3", g("A"), "q3"), ("q3", g("Z"), "q2"),
+    }
+    return Gba(("g",), frozenset({"q1", "q2", "q3"}), frozenset(edges),
+               (frozenset({"q2", "q3"}), frozenset({"q1", "q2", "q3"})),
+               ("F g", "G F g"))
+
+
+def gba_isomorphic(a, b):
+    """Isomorphism with Q0 fixed, accepting sets matched in order."""
+    if (a.aps != b.aps or a.n_states != b.n_states
+            or len(a.edges) != len(b.edges)
+            or len(a.accepting) != len(b.accepting)):
+        return False
+    sa, sb = sorted(a.states), sorted(b.states)
+    for perm in itertools.permutations(sb):
+        m = dict(zip(sa, perm))
+        m[Q0] = Q0
+        if {(m[s], o, m[d]) for s, o, d in a.edges} != set(b.edges):
+            continue
+        if all(frozenset(m[s] for s in fa) == fb
+               for fa, fb in zip(a.accepting, b.accepting)):
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# Semantic pruning: the states with an accepting run
+
+def _can_reach(adj, targets, universe):
+    """States in ``universe`` with a (possibly empty) path to ``targets``
+    inside ``universe``."""
+    pred = {}
+    for s, outs in adj.items():
+        if s not in universe:
+            continue
+        for _, d in outs:
+            if d in universe:
+                pred.setdefault(d, []).append(s)
+    seen = set(t for t in targets if t in universe)
+    stack = list(seen)
+    while stack:
+        s = stack.pop()
+        for p in pred.get(s, ()):
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return seen
+
+
+def prune(a):
+    """Keep exactly the states from which an accepting run exists, plus Q0,
+    restricted to the part reachable from Q0.
+
+    Computed as the largest sub-automaton in which every state has an
+    outgoing edge and can reach every accepting set, iterated to fixpoint.
+    From any state of that sub-automaton one can visit each accepting set,
+    move on, and repeat forever, so the fixpoint is exactly the set of
+    states with an accepting run.
+    """
+    live = set(a.states)
+    while True:
+        adj = {}
+        for s, o, d in a.edges:
+            if s in live and d in live:
+                adj.setdefault(s, []).append((o, d))
+        with_out = {s for s in live if adj.get(s)}
+        new = set(with_out)
+        for fset in a.accepting:
+            new &= _can_reach(adj, fset & with_out, with_out)
+        if new == live:
+            break
+        live = new
+
+    adj = {}
+    for s, o, d in a.edges:
+        if (s == Q0 or s in live) and d in live:
+            adj.setdefault(s, []).append((o, d))
+    reach = _reachable(adj, Q0) - {Q0}
+    keep = live & reach
+    edges = frozenset((s, o, d) for s, o, d in a.edges
+                      if (s == Q0 or s in keep) and d in keep)
+    return Gba(a.aps, frozenset(keep), edges,
+               tuple(frozenset(fs & keep) for fs in a.accepting),
+               a.accepting_for)
+
+
+# ---------------------------------------------------------------------------
+# Observation oracles: the published OR / RELEASE columns, and dense-time
+# observations of whole formulas over slices
+
+_OR_REF = {
+    ("A", "A"): "A", ("A", "Z"): "A", ("A", "E"): "A", ("A", "N"): "A",
+    ("Z", "A"): "A", ("Z", "Z"): "Z", ("Z", "E"): "A", ("Z", "N"): "Z",
+    ("E", "A"): "A", ("E", "Z"): "A", ("E", "E"): "E", ("E", "N"): "E",
+    ("N", "A"): "A", ("N", "Z"): "Z", ("N", "E"): "E", ("N", "N"): "N",
+}
+
+_RELEASE_REF = {
+    ("A", "A"): "A", ("A", "Z"): "Z", ("A", "E"): "E", ("A", "N"): "N",
+    ("Z", "A"): "AZ", ("Z", "Z"): "Z", ("Z", "E"): "EN", ("Z", "N"): "N",
+    ("E", "A"): "A", ("E", "Z"): "N", ("E", "E"): "E", ("E", "N"): "N",
+    ("N", "A"): "AN", ("N", "Z"): "N", ("N", "E"): "EN", ("N", "N"): "N",
+}
+
+
+def formula_observation(signal, f, k, tau):
+    """Observation of formula f over slice k ([k*tau, (k+1)*tau]).
+
+    The dense-time truth signal of any NNF formula over a piecewise-constant
+    signal is itself piecewise-constant with left-closed switches, so the
+    classification below is total.
+    """
+    return _formula_observations(signal, [f], k, k + 1, tau)[0][f]
+
+
+def _formula_observations(signal, formulas, k_lo, k_hi, tau):
+    """Observations of several formulas over slices k_lo..k_hi-1 (shared
+    position structure, so whole subformula rows are classified at once)."""
+    tau = _to_frac(tau)
+    cuts = [k * tau for k in range(k_lo, k_hi + 1)]
+    pl = _PositionLasso(signal, cuts=cuts)
+    out = []
+    for k in range(k_lo, k_hi):
+        idxs = _slice_positions(pl, k, tau)
+        kinds = [pl.kinds[i] for i in idxs]
+        row = {}
+        for f in formulas:
+            tv = pl.truth(f)
+            o = _classify_positions([tv[i] for i in idxs], kinds, True)
+            if o is None:
+                raise UndefinedSlice(k, formula_str(f))
+            row[f] = o
+        out.append(row)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +429,9 @@ def accepts_raw_lasso(nba, prefix, loop):
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
-    # accepting lasso: reachable cycle through an accepting product node;
-    # search per SCC (iterative Tarjan is overkill at these sizes)
-    index = {v: i for i, v in enumerate(sorted(seen, key=repr))}
-    sccs = _sccs(adj, sorted(seen, key=repr))
-    for comp in sccs:
+    # accepting lasso: reachable cycle through an accepting product node,
+    # searched per SCC
+    for comp in _sccs(adj, sorted(seen, key=repr)):
         cs = set(comp)
         nontrivial = len(comp) > 1 or any(d in cs for d in adj[comp[0]])
         if nontrivial and any(s in nba.accepting for _, s in comp):
@@ -274,8 +447,6 @@ def accepting_run_states(gba, w):
     Product nodes (j, s) mean: the automaton is about to read letter j in
     state s; the valuation at position k is therefore the state of node
     (canon(k+1), s)."""
-    from apobs.automata import Q0
-
     by = {}
     for s, o, d in gba.edges:
         by.setdefault((s, o), []).append(d)
@@ -345,7 +516,7 @@ def model_words_included(model, nba):
     """Is every infinite label word of the model accepted by the automaton?
     Requires every model state to have at least one outgoing transition."""
     letters = sorted({o for _, o, _ in _model_edges(model)})
-    s_states = list(model.states) + ([_sink()] if model.has_sink else [])
+    s_states = list(model.states) + ([SINK] if model.has_sink else [])
     s_idx = {q: i for i, q in enumerate(s_states)}
     b_states = sorted(nba.states, key=repr)
     b_idx = {b: i for i, b in enumerate(b_states)}
@@ -404,34 +575,30 @@ def model_words_included(model, nba):
     return True
 
 
-def _sink():
-    from apobs.abstraction import SINK
-    return SINK
-
-
 def _model_edges(model):
     for q, outs in model.transitions.items():
         for o, q2 in outs:
             yield q, o, q2
 
 
+def rho(spec, q, p):
+    """Classification of AP p on model state q: ``box_vs_region`` on the
+    cell box, '?' on the sink."""
+    if q == SINK:
+        return "?"
+    return box_vs_region(spec.ap_regions[p], spec.cell_box(q))
+
+
 def reference_transitions(spec, aps, drop_multi_change):
     """Symbolic model transitions built one pair of cells at a time: a
     successor is every cell whose box meets the reach box (both closed,
     with slack 1e-9 eta), and the labels of each transition are derived
-    afresh from ``box_vs_region`` at both of its ends."""
-    from apobs.abstraction import (SINK, _P_E, _P_Z, box_vs_region,
-                                   reach_box)
+    afresh from ``rho`` at both of its ends."""
     aps = tuple(sorted(aps))
     slack = 1e-9 * spec.eta
 
-    def classify(q, p):
-        if q == SINK:
-            return "?"
-        return box_vs_region(spec.ap_regions[p], spec.cell_box(q))
-
     def labels(q, q2):
-        per_ap = [sorted(_P_Z[classify(q, p)] & _P_E[classify(q2, p)])
+        per_ap = [sorted(_P_Z[rho(spec, q, p)] & _P_E[rho(spec, q2, p)])
                   for p in aps]
         return [tuple(zip(aps, combo))
                 for combo in itertools.product(*per_ap)
@@ -495,7 +662,8 @@ def rand_nba(rng, letters, max_states=3):
 
 
 # ---------------------------------------------------------------------------
-# Random Buchi games and a brute-force positional-strategy solver
+# Random Buchi games, a brute-force positional-strategy solver, the
+# nested-fixpoint winning region and a strategy falsifier
 
 def rand_buchi_game(rng, max_vertices=12):
     from apobs.game import BuchiGame
@@ -545,55 +713,62 @@ def brute_force_w0(game):
     return frozenset(w0)
 
 
-def _sccs(adj, nodes):
-    import sys
-    sys.setrecursionlimit(100000)
-    index = {}
-    low = {}
-    on = set()
-    stack = []
-    out = []
-    counter = itertools.count()
+def winning_region_fixpoint(game):
+    """Independent oracle for the Player winning region: the nested
+    fixpoint nu Y. mu X. (Pre0(X) | (F & Pre0(Y)))."""
+    def pre0(s):
+        out = set()
+        for v in game.vertices:
+            succs = game.edges[v]
+            if game.owner[v] == 0:
+                if any(w in s for w in succs):
+                    out.add(v)
+            elif all(w in s for w in succs):
+                out.add(v)
+        return out
 
-    def strong(v):
-        work = [(v, iter(adj.get(v, ())))]
-        index[v] = low[v] = next(counter)
-        stack.append(v)
-        on.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = next(counter)
-                    stack.append(w)
-                    on.add(w)
-                    work.append((w, iter(adj.get(w, ()))))
-                    advanced = True
-                    break
-                if w in on:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                out.append(comp)
-        return
+    y = set(game.vertices)
+    while True:
+        x = set()
+        while True:
+            fy = game.accepting & pre0(y)
+            x2 = pre0(x) | fy
+            if x2 == x:
+                break
+            x = x2
+        if x == y:
+            return frozenset(y)
+        y = x
 
-    for v in nodes:
-        if v not in index:
-            strong(v)
-    return out
+
+def check_strategy(game, strategy0, trials=200, horizon=None, seed=0):
+    """Falsification harness: play the Player strategy against random
+    positional Opponent strategies from the initial vertex; after the
+    first visit to an accepting vertex, every window of |vertices| steps
+    must contain another visit.  Returns True iff all trials pass."""
+    n = len(game.vertices)
+    if horizon is None:
+        horizon = 4 * n
+    rng = random.Random(seed)
+    for _ in range(trials):
+        pi1 = {v: rng.choice(game.edges[v]) for v in game.vertices
+               if game.owner[v] == 1}
+        v = game.initial
+        last_accept = None
+        for step in range(horizon):
+            if v in game.accepting:
+                last_accept = step
+            elif last_accept is not None and step - last_accept > n:
+                return False
+            if game.owner[v] == 0:
+                if v not in strategy0:
+                    raise KeyError(f"strategy undefined at {v!r}")
+                v = strategy0[v]
+            else:
+                v = pi1[v]
+        if last_accept is None or horizon - last_accept > n:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ def spec_file(tmp_path_factory):
 
 class TestScenario:
     def test_writes_spec(self, spec_file, capsys):
-        obj = json.loads(open(spec_file).read())
+        obj = json.loads(Path(spec_file).read_text())
         assert obj["dim"] == 2
         assert obj["r_mode"] == "or"
         assert sorted(obj["aps"]) == ["b", "c", "g", "p", "r"]
@@ -100,7 +100,7 @@ class TestMalformedSpec:
          "bad field 'modes'"),
     ], ids=["missing-modes", "short-domain", "non-numeric-speed"])
     def test_one_line_error(self, spec_file, tmp_path, capsys, edit, field):
-        obj = json.loads(open(spec_file).read())
+        obj = json.loads(Path(spec_file).read_text())
         edit(obj)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))

@@ -10,13 +10,14 @@ from apobs.abstraction import (SymbolicModel, SystemSpec, Mode,
 from apobs.automata import Nba
 from apobs.cli import BENCH_FORMULAS
 from apobs.game import (LOSE, WIN, BuchiGame, PipelineError, _config_hash,
-                        build_game, check_strategy, game_to_json,
-                        report_from_json, report_to_json, solve_buchi,
-                        solve_result_to_json, verify, winning_region_fixpoint)
+                        build_game, game_to_json, report_from_json,
+                        report_to_json, solve_buchi, solve_result_to_json,
+                        verify)
 from apobs.ltl import atoms, parse_ltl, to_nnf
 from apobs.scenarios import drone_spec
-from conftest import (brute_force_w0, drone_model, rand_buchi_game,
-                      rand_model, rand_nba)
+from conftest import (brute_force_w0, check_strategy, drone_model,
+                      rand_buchi_game, rand_model, rand_nba,
+                      winning_region_fixpoint)
 
 
 def _letters(*obs):

@@ -9,13 +9,13 @@ from apobs.ltl import NUntil, PosAtom, parse_ltl, subformulas, to_nnf
 from apobs.observations import (NEG, OBS, ChoppingError, IncommensurableError,
                                 MultiChange, PiecewiseSignal, SignalWord,
                                 UndefinedSlice, chop, consistency,
-                                eval_signal, formula_observation,
-                                _formula_observations, is_signal_word,
+                                eval_signal, is_signal_word,
                                 piecewise_signal_from_json,
                                 piecewise_signal_to_json,
                                 signal_word_from_json, signal_word_to_json,
                                 unique_run_oracle)
-from conftest import rand_nnf, rand_signal
+from conftest import (_OR_REF, _RELEASE_REF, _formula_observations,
+                      formula_observation, rand_nnf, rand_signal)
 
 P, Q = PosAtom("p"), PosAtom("q")
 
@@ -47,6 +47,15 @@ class TestConsistency:
                 for o2 in OBS:
                     assert consistency(d, o1, o2) == frozenset(
                         NEG[o] for o in consistency(c, NEG[o1], NEG[o2]))
+
+    def test_published_or_release_columns(self):
+        # OR and RELEASE are derived by duality from AND and UNTIL; the
+        # derived tables must equal the published columns
+        for conn, ref in (("|", _OR_REF), ("R", _RELEASE_REF)):
+            for (o1, o2), cell in ref.items():
+                assert consistency(conn, o1, o2) == frozenset(cell), \
+                    (conn, o1, o2)
+            assert len(ref) == 16
 
     def test_negation_involution(self):
         assert set(NEG) == set(OBS)
