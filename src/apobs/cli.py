@@ -95,7 +95,8 @@ def cmd_verify(args):
         with open(args.export_game, "w") as fh:
             json.dump(_game.game_to_json(artifacts["game"]), fh, indent=1)
     payload = _game.report_to_json(report)
-    payload["solve"] = _game.solve_result_to_json(artifacts["solve"])
+    payload["solve"] = _game.solve_result_to_json(artifacts["game"],
+                                                artifacts["solve"])
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=1)
@@ -233,8 +234,8 @@ def build_parser():
     pv.add_argument("--formula", required=True, help="LTL formula text")
     pv.add_argument("--eta", type=float, default=None)
     pv.add_argument("--tau", type=float, default=None)
-    pv.add_argument("--repeat", type=int, default=10,
-                    help="timing repetitions (default 10)")
+    pv.add_argument("--repeat", type=int, default=1,
+                    help="timing repetitions (default 1)")
     pv.add_argument("--out", help="write the report JSON here")
     pv.add_argument("--export-automaton", help="write the automaton as DOT")
     pv.add_argument("--export-game", help="write the game graph as JSON")
@@ -255,7 +256,7 @@ def build_parser():
     pb = sub.add_parser("bench", help="run the benchmark formula table")
     pb.add_argument("--system", help="system spec JSON (default: drone)")
     pb.add_argument("--formulas", help="file with one formula per line")
-    pb.add_argument("--repeat", type=int, default=10)
+    pb.add_argument("--repeat", type=int, default=1)
     pb.add_argument("--r-mode", choices=["or", "and"], default="or",
                     dest="r_mode")
     pb.add_argument("--csv", help="also write the rows as CSV")

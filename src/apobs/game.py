@@ -47,28 +47,29 @@ class PipelineError(RuntimeError):
 
 @dataclass(frozen=True)
 class BuchiGame:
-    """Vertices: ("O", q, b) Opponent-owned, ("P", q, o, b) Player-owned,
-    plus the totalizing sinks WIN (accepting self-loop) and LOSE
-    (non-accepting self-loop).
+    """A game on the vertex ids 0..n-1, numbered in breadth-first discovery
+    order from the initial vertex 0.  ``names[i]`` is vertex i as a tuple:
+    ("O", q, b) Opponent-owned, ("P", q, o, b) Player-owned, or one of
+    the totalizing sinks WIN (accepting self-loop) and LOSE (non-accepting
+    self-loop).  Only the exporters read the names.
 
-    ``build_game`` lists ``vertices``, each vertex's successors and the
-    redirected vertices in discovery order, which depends on neither the
+    Every field is listed in discovery order, which depends on neither the
     hash seed nor anything else outside the model and the automaton."""
-    vertices: tuple              # discovery order
-    edges: dict                  # vertex -> tuple of successors
-    owner: dict                  # vertex -> 0 (Player) or 1 (Opponent)
+    names: tuple                 # id -> vertex tuple
+    edges: dict                  # id -> tuple of successor ids
+    owner: bytes                 # per id: 0 (Player) or 1 (Opponent)
     accepting: frozenset
-    initial: object
+    initial: int
     redirected_player: tuple     # stuck Player vertices sent to LOSE
     redirected_opponent: tuple   # stuck Opponent vertices sent to WIN
 
     @property
     def n_player(self):
-        return sum(1 for o in self.owner.values() if o == 0)
+        return self.owner.count(0)
 
     @property
     def n_opponent(self):
-        return sum(1 for o in self.owner.values() if o == 1)
+        return self.owner.count(1)
 
 
 def build_game(model, nba):
@@ -88,64 +89,65 @@ def build_game(model, nba):
     for outs in b_succ.values():
         outs.sort(key=rank.__getitem__)
 
-    init = ("O", model.q_in, nba.initial)
-    vertices = [init]
-    seen = {init: init}      # successors share the objects in ``vertices``
-    edges = {}
-    owner = {}
+    names = [("O", model.q_in, nba.initial)]
+    ids = {names[0]: 0}
+    succ = []
+    owner = bytearray()
     redirected_p = []
     redirected_o = []
-    for v in vertices:       # grows while it is read: breadth-first
+    for i, v in enumerate(names):   # grows while it is read: breadth-first
         if v[0] == "O":
             _, q, b = v
-            owner[v] = 1
+            owner.append(1)
             outs = [("P", q2, o, b)
                     for o, q2 in dict.fromkeys(model.transitions.get(q, ()))]
             if not outs:
-                redirected_o.append(v)
+                redirected_o.append(i)
                 outs = [WIN]
         elif v[0] == "P":
             _, q2, o, b = v
-            owner[v] = 0
+            owner.append(0)
             outs = [("O", q2, b2) for b2 in b_succ.get((b, o), ())]
             if not outs:
-                redirected_p.append(v)
+                redirected_p.append(i)
                 outs = [LOSE]
         else:                # WIN or LOSE
-            owner[v] = 0
-            edges[v] = (v,)
+            owner.append(0)
+            succ.append((i,))
             continue
-        succs = []
+        row = []
         for w in outs:
-            known = seen.get(w)
-            if known is None:
-                seen[w] = known = w
-                vertices.append(w)
-            succs.append(known)
-        edges[v] = tuple(succs)
+            j = ids.get(w)
+            if j is None:
+                ids[w] = j = len(names)
+                names.append(w)
+            row.append(j)
+        succ.append(tuple(row))
     accepting = frozenset(
-        v for v in vertices
+        i for i, v in enumerate(names)
         if (v[0] == "O" and v[2] in nba.accepting) or v == WIN)
-    return BuchiGame(tuple(vertices), edges, owner, accepting, init,
+    # keyed by the ints the successor tuples already hold: no second copy
+    return BuchiGame(tuple(names), dict(zip(ids.values(), succ)),
+                     bytes(owner), accepting, 0,
                      tuple(redirected_p), tuple(redirected_o))
 
 
 @dataclass(frozen=True)
 class SolveResult:
-    w0: frozenset
+    w0: frozenset             # vertex ids
     w1: frozenset
-    strategy0: dict           # Player vertices in W0 -> chosen successor
-    strategy1: dict           # Opponent vertices in W1 -> chosen successor
+    strategy0: dict           # Player ids in W0 -> chosen successor id
+    strategy1: dict           # Opponent ids in W1 -> chosen successor id
     winning: bool
     stats: dict
 
 
 def _attractor(target, player, live, succ, pred, owner):
-    """Attractor of ``target`` for ``player`` inside the ``live`` vertices,
-    on vertex indices.  Returns (membership bytearray, members in the order
-    attracted, strategy for the player's attractor vertices).  An
-    adversary vertex's count of live successors still outside the
-    attractor is set up the first time one of them joins."""
+    """Attractor of ``target`` for ``player`` inside the ``live`` vertices.
+    Returns (membership bytearray, members in the order attracted,
+    strategy for the player's attractor vertices).  An adversary vertex's
+    count of live successors still outside the attractor is set up the
+    first time one of them joins."""
     attr = bytearray(len(succ))
     for t in target:
         attr[t] = 1
@@ -175,21 +177,18 @@ def solve_buchi(game):
     alternating-attractor Büchi fixpoint), with positional strategies for
     both sides.
 
-    Works on vertex indices: successor and predecessor lists are built
-    once, the shrinking universe is a bytearray, and W0, W1 and the
-    strategies are mapped back to vertices at the end, each strategy in
-    vertex order.  So for a game from ``build_game`` the result, strategies
+    Reads the game's ids directly and builds only the predecessor lists;
+    the shrinking universe is a bytearray, and each strategy is listed in
+    id order.  So for a game from ``build_game`` the result, strategies
     included, does not depend on the hash seed."""
-    vertices = game.vertices
-    n = len(vertices)
-    index = {v: i for i, v in enumerate(vertices)}
-    succ = [[index[w] for w in game.edges[v]] for v in vertices]
+    succ = game.edges
+    owner = game.owner
+    n = len(owner)
     pred = [[] for _ in range(n)]
-    for v, ws in enumerate(succ):
-        for w in ws:
+    for v in range(n):
+        for w in succ[v]:
             pred[w].append(v)
-    owner = bytes(game.owner[v] for v in vertices)
-    accepting = sorted(index[v] for v in game.accepting)
+    accepting = sorted(game.accepting)
 
     live = bytearray(b"\x01") * n
     n_live = n
@@ -226,19 +225,17 @@ def solve_buchi(game):
         w1 += trapped
         n_live -= len(trapped)
 
-    def back(strategy):
-        return {vertices[v]: vertices[w] for v, w in sorted(strategy.items())}
-
     stats = {"iterations": iterations,
              "vertices": n,
              "player_vertices": game.n_player,
              "opponent_vertices": game.n_opponent,
              "redirected_player": len(game.redirected_player),
              "redirected_opponent": len(game.redirected_opponent)}
-    return SolveResult(frozenset(vertices[v] for v in range(n) if live[v]),
-                       frozenset(vertices[v] for v in w1),
-                       back(strategy0), back(strategy1),
-                       bool(live[index[game.initial]]), stats)
+    return SolveResult(frozenset(v for v in range(n) if live[v]),
+                       frozenset(w1),
+                       dict(sorted(strategy0.items())),
+                       dict(sorted(strategy1.items())),
+                       bool(live[game.initial]), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -360,25 +357,27 @@ def _vjson(v, names):
 
 
 def game_to_json(g):
-    names = _b_names(g.vertices)
+    names = _b_names(g.names)
+    vs = [_vjson(v, names) for v in g.names]
     return {
-        "initial": _vjson(g.initial, names),
+        "initial": vs[g.initial],
         "player_vertices": g.n_player,
         "opponent_vertices": g.n_opponent,
-        "accepting": sorted((_vjson(v, names) for v in g.accepting),
+        "accepting": sorted((vs[v] for v in g.accepting),
                             key=lambda d: json.dumps(d, sort_keys=True)),
-        "edges": [{"src": _vjson(v, names), "dst": _vjson(w, names)}
-                  for v in g.vertices for w in g.edges[v]],
+        "edges": [{"src": vs[v], "dst": vs[w]}
+                  for v, ws in g.edges.items() for w in ws],
     }
 
 
-def solve_result_to_json(r):
-    names = _b_names(r.w0 | r.w1)
+def solve_result_to_json(game, r):
+    names = _b_names(game.names)
     return {
         "verdict": "VERIFIED" if r.winning else "INCONCLUSIVE",
         "w0_size": len(r.w0),
         "w1_size": len(r.w1),
-        "strategy": [{"vertex": _vjson(v, names), "move": _vjson(w, names)}
+        "strategy": [{"vertex": _vjson(game.names[v], names),
+                      "move": _vjson(game.names[w], names)}
                      for v, w in r.strategy0.items()],
         "stats": dict(r.stats),
     }

@@ -668,14 +668,14 @@ def rand_nba(rng, letters, max_states=3):
 def rand_buchi_game(rng, max_vertices=12):
     from apobs.game import BuchiGame
     n = rng.randrange(3, max_vertices + 1)
-    vertices = tuple(f"v{i}" for i in range(n))
-    owner = {v: rng.randrange(2) for v in vertices}
+    owner = bytes(rng.randrange(2) for _ in range(n))
     edges = {}
-    for v in vertices:
+    for v in range(n):
         deg = rng.randrange(1, 4)
-        edges[v] = tuple(sorted(rng.sample(vertices, min(deg, n))))
-    accepting = frozenset(v for v in vertices if rng.random() < 0.3)
-    return BuchiGame(vertices, edges, owner, accepting, vertices[0], (), ())
+        edges[v] = tuple(sorted(rng.sample(range(n), min(deg, n))))
+    accepting = frozenset(v for v in range(n) if rng.random() < 0.3)
+    return BuchiGame(tuple(f"v{i}" for i in range(n)), edges, owner,
+                     accepting, 0, (), ())
 
 
 def brute_force_w0(game):
@@ -685,15 +685,15 @@ def brute_force_w0(game):
     graph has no cycle reachable from v that avoids the accepting set
     (every infinite play then visits accepting vertices infinitely often).
     """
-    player_vs = [v for v in game.vertices if game.owner[v] == 0]
+    player_vs = [v for v in game.edges if game.owner[v] == 0]
     w0 = set()
     for choice in itertools.product(*(game.edges[v] for v in player_vs)):
         sigma = dict(zip(player_vs, choice))
-        adj = {v: ([sigma[v]] if game.owner[v] == 0 else list(game.edges[v]))
-               for v in game.vertices}
+        adj = {v: ([sigma[v]] if game.owner[v] == 0 else list(succs))
+               for v, succs in game.edges.items()}
         # vertices from which an accepting-set-avoiding cycle is reachable
         bad_adj = {v: [w for w in adj[v] if w not in game.accepting]
-                   for v in game.vertices if v not in game.accepting}
+                   for v in game.edges if v not in game.accepting}
         bad_core = set()
         for comp in _sccs(bad_adj, sorted(bad_adj)):
             cs = set(comp)
@@ -705,11 +705,11 @@ def brute_force_w0(game):
         changed = True
         while changed:
             changed = False
-            for v in game.vertices:
+            for v in game.edges:
                 if v not in losing and any(w in losing for w in adj[v]):
                     losing.add(v)
                     changed = True
-        w0 |= set(game.vertices) - losing
+        w0 |= set(game.edges) - losing
     return frozenset(w0)
 
 
@@ -718,8 +718,7 @@ def winning_region_fixpoint(game):
     fixpoint nu Y. mu X. (Pre0(X) | (F & Pre0(Y)))."""
     def pre0(s):
         out = set()
-        for v in game.vertices:
-            succs = game.edges[v]
+        for v, succs in game.edges.items():
             if game.owner[v] == 0:
                 if any(w in s for w in succs):
                     out.add(v)
@@ -727,7 +726,7 @@ def winning_region_fixpoint(game):
                 out.add(v)
         return out
 
-    y = set(game.vertices)
+    y = set(game.edges)
     while True:
         x = set()
         while True:
@@ -746,12 +745,12 @@ def check_strategy(game, strategy0, trials=200, horizon=None, seed=0):
     positional Opponent strategies from the initial vertex; after the
     first visit to an accepting vertex, every window of |vertices| steps
     must contain another visit.  Returns True iff all trials pass."""
-    n = len(game.vertices)
+    n = len(game.edges)
     if horizon is None:
         horizon = 4 * n
     rng = random.Random(seed)
     for _ in range(trials):
-        pi1 = {v: rng.choice(game.edges[v]) for v in game.vertices
+        pi1 = {v: rng.choice(succs) for v, succs in game.edges.items()
                if game.owner[v] == 1}
         v = game.initial
         last_accept = None

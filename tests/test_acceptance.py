@@ -227,7 +227,7 @@ def test_criterion_09_game_solver_oracle():
             game = rand_buchi_game(rng, max_vertices=12)
             res = solve_buchi(game)
             assert res.w0 == brute_force_w0(game), i
-            assert res.w0 | res.w1 == frozenset(game.vertices)
+            assert res.w0 | res.w1 == frozenset(game.edges)
             if res.winning:
                 assert check_strategy(game, res.strategy0, trials=200), i
 

@@ -1,6 +1,7 @@
 """End-to-end CLI tests (in-process via cli.main; the hash-seed test runs
 two subprocesses)."""
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import apobs
 from apobs.cli import (BENCH_FORMULAS, EXIT_ERROR, EXIT_INCONCLUSIVE,
-                       EXIT_VERIFIED, PAPER_REFERENCE, main)
+                       EXIT_VERIFIED, PAPER_REFERENCE, build_parser, main)
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +135,20 @@ def test_exports_independent_of_hash_seed(spec_file, tmp_path):
         del payload["times"]
         exports.append((payload, json.loads(game.read_text())))
     assert exports[0] == exports[1]
+    # sha256 of the canonical JSON of the report (without times) and of
+    # the game: a change of the game's representation keeps these bytes
+    sha = [hashlib.sha256(json.dumps(x, sort_keys=True).encode()).hexdigest()
+           for x in exports[0]]
+    assert sha == [
+        "fd4199a8d97a29d6b2431e8109ec69bbb405cfd3901a8f09a828e311c854e297",
+        "a55235a3832f655b0990867febb7b58fa0cb325a20b9e83c8aa9f7adbc189553"]
+
+
+def test_repeat_defaults_to_one():
+    # a cold single run: averaged reruns understate the first game build
+    for argv in (["verify", "--system", "s.json", "--formula", "G r"],
+                 ["bench"]):
+        assert build_parser().parse_args(argv).repeat == 1
 
 
 class TestBench:

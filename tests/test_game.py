@@ -54,12 +54,13 @@ class TestBuildGame:
         model = _one_state_model(letters)
         nba = _accept_all_nba(letters)
         game = build_game(model, nba)
-        assert game.initial == ("O", (0,), "b0")
+        assert game.initial == 0
+        assert game.names[0] == ("O", (0,), "b0")
         assert game.n_opponent == 1 and game.n_player == 1
         assert not game.redirected_player and not game.redirected_opponent
         res = solve_buchi(game)
         assert res.winning
-        assert res.w0 == frozenset(game.vertices)
+        assert res.w0 == frozenset(game.edges)
         assert check_strategy(game, res.strategy0)
 
     def test_rejecting_automaton_loses(self):
@@ -70,7 +71,7 @@ class TestBuildGame:
                   frozenset({("b0", (("p", "N"),), "b0")}),
                   "b0", frozenset({"b0"}))
         game = build_game(model, nba)
-        assert LOSE in game.vertices
+        assert LOSE in game.names
         assert game.redirected_player
         res = solve_buchi(game)
         assert not res.winning
@@ -82,8 +83,9 @@ class TestBuildGame:
         q = (0,)
         model = SymbolicModel(("p",), (q,), q, {q: ()}, False)
         game = build_game(model, _accept_all_nba(_letters("A")))
-        assert WIN in game.vertices
-        assert game.redirected_opponent == (("O", q, "b0"),)
+        assert WIN in game.names
+        assert [game.names[v] for v in game.redirected_opponent] == \
+            [("O", q, "b0")]
         assert solve_buchi(game).winning
 
     def test_alphabet_mismatch(self):
@@ -121,19 +123,17 @@ class TestSolveBuchi:
     def _handmade(self):
         # s (Player) may go to the accepting Opponent hub g (which must
         # return to s) or into the non-accepting trap t
-        vertices = ("g", "s", "t")
-        edges = {"s": ("g", "t"), "g": ("s",), "t": ("t",)}
-        owner = {"s": 0, "g": 1, "t": 1}
-        return BuchiGame(vertices, edges, owner, frozenset({"g"}), "s",
-                         (), ())
+        s, g, t = 0, 1, 2
+        return BuchiGame(("s", "g", "t"), {s: (g, t), g: (s,), t: (t,)},
+                         bytes([0, 1, 1]), frozenset({g}), s, (), ())
 
     def test_handmade_regions(self):
         game = self._handmade()
         res = solve_buchi(game)
-        assert res.w0 == frozenset({"s", "g"})
-        assert res.w1 == frozenset({"t"})
+        assert res.w0 == frozenset({0, 1})
+        assert res.w1 == frozenset({2})
         assert res.winning
-        assert res.strategy0["s"] == "g"
+        assert res.strategy0[0] == 1
         assert winning_region_fixpoint(game) == res.w0
         assert res.stats["vertices"] == 3
         assert res.stats["player_vertices"] == 1
@@ -144,7 +144,7 @@ class TestSolveBuchi:
         res = solve_buchi(game)
         assert check_strategy(game, res.strategy0)
         # steering into the trap must be caught by the falsifier
-        assert not check_strategy(game, {"s": "t"})
+        assert not check_strategy(game, {0: 2})
 
     def test_undefined_strategy_raises(self):
         game = self._handmade()
@@ -163,7 +163,7 @@ class TestSolveBuchi:
         for _ in range(60):
             game = rand_buchi_game(rng)
             res = solve_buchi(game)
-            assert res.w0 | res.w1 == frozenset(game.vertices)
+            assert res.w0 | res.w1 == frozenset(game.edges)
             assert not (res.w0 & res.w1)
             assert winning_region_fixpoint(game) == res.w0
 
@@ -178,7 +178,7 @@ class TestSolveBuchi:
 
 class TestProductGames:
     """The solver against the fixpoint oracle on the drone's product
-    games, which have redirected vertices and tuple-valued vertices."""
+    games, which have redirected vertices."""
 
     @pytest.mark.parametrize("formula", BENCH_FORMULAS)
     def test_solver_matches_oracle(self, formula):
@@ -187,7 +187,7 @@ class TestProductGames:
                              model=drone_model(tracked))
         game, res = art["game"], art["solve"]
         assert res.w0 == winning_region_fixpoint(game)
-        assert res.w0 | res.w1 == frozenset(game.vertices)
+        assert res.w0 | res.w1 == frozenset(game.edges)
         if report.verdict == "VERIFIED":
             assert check_strategy(game, res.strategy0)
 
@@ -287,12 +287,11 @@ class TestSerialization:
         assert obj["initial"]["kind"] == "O"
         assert obj["player_vertices"] == art["game"].n_player
         assert obj["opponent_vertices"] == art["game"].n_opponent
-        assert len(obj["edges"]) == sum(len(art["game"].edges[v])
-                                        for v in art["game"].vertices)
+        assert len(obj["edges"]) == sum(map(len, art["game"].edges.values()))
 
     def test_solve_json(self):
         _, art = verify(_spec_1d(), "G p")
-        obj = solve_result_to_json(art["solve"])
+        obj = solve_result_to_json(art["game"], art["solve"])
         assert obj["verdict"] == "VERIFIED"
         assert obj["w0_size"] == len(art["solve"].w0)
         assert obj["stats"]["iterations"] >= 1
