@@ -295,6 +295,9 @@ def verify(spec, formula, repeat=1, allow_unsound_tau=False, model=None):
         f = formula
     nnf = _stage("nnf", _ltl.to_nnf, f)
     tracked = _ltl.atoms(nnf)
+    # before the pipeline: the spec's one-time serialization then reuses
+    # memory the game and solver take later, instead of adding to it
+    config_hash = _config_hash(spec, formula_text, tracked)
 
     times = {}
 
@@ -315,12 +318,8 @@ def verify(spec, formula, repeat=1, allow_unsound_tau=False, model=None):
     result = timed("game_solve", solve_buchi, game)
     times["total"] = sum(times.values())
 
-    sizes = {
-        "automaton": nba.n_states,
-        "model": model.n_states,
-        "game_player": game.n_player,
-        "game_opponent": game.n_opponent,
-    }
+    sizes = {"automaton": nba.n_states, "model": model.n_states,
+             "game_player": game.n_player, "game_opponent": game.n_opponent}
     report = Report(
         schema="apobs-report/1",
         formula=formula_text,
@@ -328,7 +327,7 @@ def verify(spec, formula, repeat=1, allow_unsound_tau=False, model=None):
         sizes=sizes,
         times={k: round(v, 6) for k, v in times.items()},
         repeat=repeat,
-        config_hash=_config_hash(spec, formula_text, tracked),
+        config_hash=config_hash,
         notes={"tracked_aps": list(tracked),
                "allow_unsound_tau": allow_unsound_tau,
                "redirected_player": len(game.redirected_player),
