@@ -29,7 +29,7 @@ __all__ = [
     "validate_tau", "simulate_trajectory",
     "system_spec_to_json", "system_spec_from_json",
     "symbolic_model_to_json", "symbolic_model_from_json",
-    "region_contains", "box_vs_region",
+    "region_contains", "box_vs_region", "is_run_of",
     "SINK",
 ]
 
@@ -55,19 +55,6 @@ def region_contains(region, x):
                for a, op, c in conj):
             return True
     return False
-
-
-def region_contains_np(region, pts):
-    """Vectorized membership for an (n_points, dim) array."""
-    import numpy as np
-
-    out = np.zeros(len(pts), dtype=bool)
-    for conj in region:
-        m = np.ones(len(pts), dtype=bool)
-        for a, op, c in conj:
-            m &= (pts[:, a] <= c) if op == "le" else (pts[:, a] >= c)
-        out |= m
-    return out
 
 
 def box_vs_region(region, box):
@@ -179,9 +166,6 @@ class SystemSpec:
     def json_text(self):
         """``system_spec_to_json`` as JSON text with sorted keys."""
         return json.dumps(system_spec_to_json(self), sort_keys=True)
-
-    def grid_range(self, axis):
-        return self.grid_ranges[axis]
 
     def cells(self):
         ranges = [range(kmin, kmax + 1) for kmin, kmax in self.grid_ranges]
@@ -318,7 +302,7 @@ def gamma(x, spec):
         if not (lo - 1e-9 <= x[a] <= hi + 1e-9):
             raise OutOfDomainError(f"point {tuple(x)} outside the domain")
         k = math.floor(x[a] / spec.eta + 0.5)
-        kmin, kmax = spec.grid_range(a)
+        kmin, kmax = spec.grid_ranges[a]
         cell.append(min(max(k, kmin), kmax))
     return tuple(cell)
 
@@ -561,57 +545,66 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
 # ---------------------------------------------------------------------------
 # Simulation (Theorem 1 testing)
 
-def simulate_trajectory(spec, horizon, seed, tracked_aps=None,
-                        samples_per_step=1000):
-    """Integrate one disturbance realization (constant per step), classify
-    each AP over each step from dense samples, and return (cells at
-    multiples of tau, observation word).
+def simulate_trajectory(spec, horizon, seed, tracked_aps=None):
+    """Integrate one disturbance realization and chop it exactly; return
+    (cells at multiples of tau, observation word).
 
-    Raises a ChoppingError subclass when a step violates the chopping
-    assumptions at this sampling resolution.
+    Each step is the straight segment x0 + t*u, t in [0, tau], with the
+    velocity u drawn once per step from the mode of the current cell.
+    An AP's truth can change along it only where the segment crosses one
+    of the AP's half-space thresholds, so the AP is read at t = 0, at the
+    midpoint of each piece between consecutive crossing times, and at
+    t = tau.  No point is read at a crossing instant itself, where
+    rounding could fake a second change.  Region boundaries are closed,
+    so an excursion into or out of a region, however brief, counts as
+    two changes.
+
+    Raises UndefinedSlice when an AP changes more than once within a
+    step, and MultiChange when two APs change.
     """
-    # numpy is imported here, not at module level, so that ``import apobs``
-    # does not pay for it; only this oracle and region_contains_np use it
-    import numpy as np
-
     aps = tuple(sorted(tracked_aps if tracked_aps is not None else
                        spec.ap_regions.keys()))
     rng = random.Random(seed)
-    x = np.array(spec.x_in, dtype=float)
+    tau = spec.tau
+    x = spec.x_in
     cells = [gamma(x, spec)]
     word = []
-    ts = np.linspace(0.0, spec.tau, samples_per_step + 1)
     for step in range(horizon):
         mode = mode_for_cell(spec, cells[-1])
         if mode.u is not None:
             du = mode.du or (0.0,) * spec.dim
-            u = np.array([mode.u[a] + rng.uniform(-du[a], du[a])
-                          for a in range(spec.dim)])
+            u = [mode.u[a] + rng.uniform(-du[a], du[a])
+                 for a in range(spec.dim)]
         else:
             s = mode.v + rng.uniform(-mode.ev, mode.ev)
             b = mode.theta + rng.uniform(-mode.etheta, mode.etheta)
-            if spec.dim == 1:
-                u = np.array([s * math.cos(b)])
-            else:
-                u = np.array([s * math.cos(b), s * math.sin(b)])
-        pts = x[None, :] + ts[:, None] * u[None, :]
-        letter = {}
+            u = [s * math.cos(b), s * math.sin(b)][:spec.dim]
+        letter = []
         changed = []
         for p in aps:
-            vals = region_contains_np(spec.ap_regions[p], pts)
-            flips = np.nonzero(np.diff(vals))[0]
-            if len(flips) == 0:
-                letter[p] = "A" if vals[0] else "N"
-            elif len(flips) == 1:
-                letter[p] = "Z" if vals[0] else "E"
+            region = spec.ap_regions[p]
+            crossings = sorted({(c - x[a]) / u[a]
+                                for conj in region for a, _, c in conj
+                                if u[a] != 0})
+            ends = [0.0, *(t for t in crossings if 0 < t < tau), tau]
+            mids = [(t0 + t1) / 2 for t0, t1 in zip(ends, ends[1:])]
+            probes = [0.0, *mids, tau]
+            vals = [region_contains(region, [xa + t * ua
+                                             for xa, ua in zip(x, u)])
+                    for t in probes]
+            flips = sum(v != w for v, w in zip(vals, vals[1:]))
+            if flips == 0:
+                letter.append((p, "A" if vals[0] else "N"))
+            elif flips == 1:
+                letter.append((p, "Z" if vals[0] else "E"))
                 changed.append(p)
             else:
                 raise UndefinedSlice(step, p)
         if len(changed) > 1:
             raise MultiChange(
                 step, f"APs {sorted(changed)} both change within the step")
-        word.append(tuple(sorted(letter.items())))
-        x = pts[-1]
+        word.append(tuple(letter))
+        x = [xa + tau * ua for xa, ua in zip(x, u)]
         cells.append(gamma(x, spec))
     return cells, word
 

@@ -388,15 +388,10 @@ def accepts_lasso(a, w):
     for s, o, d in a.edges:
         by_src_label.setdefault((s, o), []).append(d)
 
-    n = len(w.prefix) + len(w.loop)
-
-    def letter(k):
-        return w._raw(k)
-
     def succ(node):
         k, s = node
         k2 = w.canonical(k + 1)
-        return [(k2, d) for d in by_src_label.get((s, letter(k)), ())]
+        return [(k2, d) for d in by_src_label.get((s, w._raw(k)), ())]
 
     start = (0, init)
     seen = {start}

@@ -276,15 +276,18 @@ def verify(spec, formula, repeat=1, allow_unsound_tau=False, model=None):
     """Full pipeline: parse/NNF -> automaton -> symbolic model -> game ->
     solve.  The verdict is VERIFIED when Player wins the game, otherwise
     INCONCLUSIVE (a lost game proves nothing).  Timings are wall-clock
-    averages over ``repeat`` runs of each stage.
+    averages over ``repeat`` runs of the automaton, model, game build and
+    solve sequence; each run builds its own automaton, model and game.
 
     ``formula`` may be LTL text or a Formula/Nnf object.  ``model`` can
-    supply a prebuilt SymbolicModel over the formula's atoms.
+    supply a prebuilt SymbolicModel over the formula's atoms; every run
+    then reuses it, so runs after the first find the transitions it
+    computed on first access already there.
 
     ``times["model"]`` covers only the up-front part of the model build:
     the transitions of the cells the game reaches are computed on first
-    access, inside ``times["game_build"]`` (in its first run when
-    ``repeat`` > 1; later runs reuse them).
+    access, inside ``times["game_build"]``.  The spec keeps the ``v_max``
+    its first model build computes, so later runs skip that part.
     """
     repeat = max(1, repeat)
     if isinstance(formula, str):
@@ -299,23 +302,23 @@ def verify(spec, formula, repeat=1, allow_unsound_tau=False, model=None):
     # memory the game and solver take later, instead of adding to it
     config_hash = _config_hash(spec, formula_text, tracked)
 
-    times = {}
+    times = dict.fromkeys(("automaton", "model", "game_build", "game_solve"),
+                          0.0)
 
     def timed(name, fn, *args, **kwargs):
         t0 = time.perf_counter()
-        for _ in range(repeat):
-            result = _stage(name, fn, *args, **kwargs)
-        times[name] = (time.perf_counter() - t0) / repeat
+        result = _stage(name, fn, *args, **kwargs)
+        times[name] += (time.perf_counter() - t0) / repeat
         return result
 
-    nba = timed("automaton", lambda: _aut.translate(nnf)["nba"])
-    if model is None:
-        model = timed("model", _abs.build_symbolic_model, spec,
-                      tracked_aps=tracked, force=allow_unsound_tau)
-    else:
-        times["model"] = 0.0
-    game = timed("game_build", build_game, model, nba)
-    result = timed("game_solve", solve_buchi, game)
+    given = model
+    for _ in range(repeat):
+        nba = timed("automaton", lambda: _aut.translate(nnf)["nba"])
+        if given is None:
+            model = timed("model", _abs.build_symbolic_model, spec,
+                          tracked_aps=tracked, force=allow_unsound_tau)
+        game = timed("game_build", build_game, model, nba)
+        result = timed("game_solve", solve_buchi, game)
     times["total"] = sum(times.values())
 
     sizes = {"automaton": nba.n_states, "model": model.n_states,

@@ -483,7 +483,7 @@ def _slice_positions(pl, k, tau):
     return idxs
 
 
-def _classify_positions(truths, kinds, last_is_final=True):
+def _classify_positions(truths, kinds):
     """Classify the truth pattern over the closed positions of one slice.
 
     ``truths``/``kinds`` cover pt(a), seg, pt, ..., pt(b) for a slice [a,b].
@@ -546,7 +546,7 @@ def chop(signal, tau, aps=None):
         letter = {}
         changed = []
         for p in aps:
-            o = _classify_positions([truth[p][i] for i in idxs], kinds, True)
+            o = _classify_positions([truth[p][i] for i in idxs], kinds)
             if o is None:
                 raise UndefinedSlice(k, p)
             letter[p] = o

@@ -2,17 +2,19 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
-from apobs.abstraction import SINK, _P_E, _P_Z, box_vs_region, reach_box
+from apobs.abstraction import (SINK, _P_E, _P_Z, box_vs_region, gamma,
+                               mode_for_cell, reach_box, region_contains)
 from apobs.automata import (Gba, Q0, _consistent_valuations_bottomup,
                             _reachable, _sccs)
 from apobs.ltl import (Atom, And, FalseF, Not, Or, Release, TrueF, Until,
                        NAnd, NFalse, NOr, NRelease, NTrue, NUntil, NegAtom,
                        Nnf, PosAtom, formula_str, subformulas, to_nnf)
-from apobs.observations import (NEG, OBS, PiecewiseSignal, SignalWord,
-                                UndefinedSlice, _PositionLasso,
+from apobs.observations import (NEG, OBS, MultiChange, PiecewiseSignal,
+                                SignalWord, UndefinedSlice, _PositionLasso,
                                 _classify_positions, _slice_positions,
                                 _to_frac, consistency, is_signal_word)
 
@@ -260,7 +262,7 @@ def _formula_observations(signal, formulas, k_lo, k_hi, tau):
         row = {}
         for f in formulas:
             tv = pl.truth(f)
-            o = _classify_positions([tv[i] for i in idxs], kinds, True)
+            o = _classify_positions([tv[i] for i in idxs], kinds)
             if o is None:
                 raise UndefinedSlice(k, formula_str(f))
             row[f] = o
@@ -623,6 +625,53 @@ def reference_transitions(spec, aps, drop_multi_change):
     if any_sink:
         transitions[SINK] = tuple((o, SINK) for o in labels(SINK, SINK))
     return transitions
+
+
+def sampled_trajectory(spec, horizon, seed, tracked_aps=None):
+    """Reference chopper for ``simulate_trajectory``: the same trajectory
+    (same random draws, same step end points), but each AP is read only
+    at 201 evenly spaced instants of each step, t = k * (tau / 200) for
+    k < 200 and t = tau.  It cannot see a change between two samples:
+    where it returns a word, exact chopping returns the same word or
+    finds more changes."""
+    n = 200
+    aps = tuple(sorted(tracked_aps if tracked_aps is not None else
+                       spec.ap_regions.keys()))
+    rng = random.Random(seed)
+    ts = [k * (spec.tau / n) for k in range(n)] + [spec.tau]
+    x = spec.x_in
+    cells = [gamma(x, spec)]
+    word = []
+    for step in range(horizon):
+        mode = mode_for_cell(spec, cells[-1])
+        if mode.u is not None:
+            du = mode.du or (0.0,) * spec.dim
+            u = [mode.u[a] + rng.uniform(-du[a], du[a])
+                 for a in range(spec.dim)]
+        else:
+            s = mode.v + rng.uniform(-mode.ev, mode.ev)
+            b = mode.theta + rng.uniform(-mode.etheta, mode.etheta)
+            u = [s * math.cos(b), s * math.sin(b)][:spec.dim]
+        pts = [[xa + t * ua for xa, ua in zip(x, u)] for t in ts]
+        letter = []
+        changed = []
+        for p in aps:
+            vals = [region_contains(spec.ap_regions[p], pt) for pt in pts]
+            flips = sum(v != w for v, w in zip(vals, vals[1:]))
+            if flips == 0:
+                letter.append((p, "A" if vals[0] else "N"))
+            elif flips == 1:
+                letter.append((p, "Z" if vals[0] else "E"))
+                changed.append(p)
+            else:
+                raise UndefinedSlice(step, p)
+        if len(changed) > 1:
+            raise MultiChange(
+                step, f"APs {sorted(changed)} both change within the step")
+        word.append(tuple(letter))
+        x = pts[-1]
+        cells.append(gamma(x, spec))
+    return cells, word
 
 
 # ---------------------------------------------------------------------------

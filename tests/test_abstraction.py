@@ -22,9 +22,31 @@ from apobs.abstraction import (Mode, OutOfDomainError, SINK, SymbolicModel,
                                system_spec_to_json, validate_tau,
                                velocity_extents, _P_E, _P_Z)
 from apobs.game import verify
-from apobs.observations import ChoppingError
+from apobs.observations import ChoppingError, UndefinedSlice
 from apobs.scenarios import drone_spec
-from conftest import drone_model, reference_transitions, rho
+from conftest import (drone_model, reference_transitions, rho,
+                      sampled_trajectory)
+
+
+def _exact_refines_sampler(spec, horizon, seed, tracked_aps=None):
+    """Chop one trajectory exactly and with the reference sampler.  Where
+    the sampler returns a word, simulate_trajectory returns the same
+    cells and word or raises a ChoppingError; where the sampler raises
+    one at step k, simulate_trajectory raises one at step k or before.
+    Returns the exact result, or None when either chopper raised."""
+    try:
+        sampled = sampled_trajectory(spec, horizon, seed, tracked_aps)
+    except ChoppingError as e:
+        with pytest.raises(ChoppingError) as exact_error:
+            simulate_trajectory(spec, horizon, seed, tracked_aps)
+        assert exact_error.value.slice_index <= e.slice_index
+        return None
+    try:
+        exact = simulate_trajectory(spec, horizon, seed, tracked_aps)
+    except ChoppingError:
+        return None
+    assert exact == sampled
+    return exact
 
 
 def _uniform_spec(mode, dim=2, domain=16.5, tau=1.0, aps=None):
@@ -195,8 +217,7 @@ class TestSymbolicModel:
 
     def test_simulate_deterministic_east(self):
         spec = _uniform_spec(Mode(u=(4.0, 0.0), du=(0.0, 0.0)))
-        cells, word = simulate_trajectory(spec, 3, seed=0,
-                                          samples_per_step=100)
+        cells, word = simulate_trajectory(spec, 3, seed=0)
         assert cells == [(0, 0), (4, 0), (8, 0), (12, 0)]
         assert word == [(("far", "N"),)] * 3
 
@@ -204,15 +225,28 @@ class TestSymbolicModel:
         model = drone_model(("r",))
         for seed in (0, 1, 2):
             cells, word = simulate_trajectory(drone, 12, seed=seed,
-                                              tracked_aps=("r",),
-                                              samples_per_step=400)
+                                              tracked_aps=("r",))
             assert is_run_of(model, cells, word)
+
+    def test_exact_chopping_matches_the_sampler_on_the_drone(self, drone):
+        for seed in range(10):
+            assert _exact_refines_sampler(drone, 25, seed) is not None, seed
+
+    def test_brief_crossing_raises(self):
+        # from -1.998 at 4 m/s the step is inside 0 <= x <= 0.001 for
+        # t in [0.4995, 0.49975]: 0.25 ms, between two sampled instants
+        spec = SystemSpec(
+            dim=1, domain=((-3.5, 4.5),), eta=1.0, tau=1.0, x_in=(-1.998,),
+            modes={"default": Mode(u=(4.0,))}, field="default",
+            ap_regions={"p": (((0, "ge", 0.0), (0, "le", 0.001)),)})
+        assert sampled_trajectory(spec, 1, seed=0)[1] == [(("p", "N"),)]
+        with pytest.raises(UndefinedSlice):
+            simulate_trajectory(spec, 1, seed=0)
 
     def test_is_run_of_rejects_wrong_step(self):
         model = drone_model(("r",))
         cells, word = simulate_trajectory(drone_spec(), 4, seed=3,
-                                          tracked_aps=("r",),
-                                          samples_per_step=400)
+                                          tracked_aps=("r",))
         cells[-1] = (0, 0)  # teleport: not a valid successor
         assert not is_run_of(model, cells, word)
 
@@ -442,8 +476,7 @@ class TestRandomSpecs:
         for seed in range(3):
             for horizon in (8, 4, 2, 1):
                 try:
-                    cells, word = simulate_trajectory(
-                        spec, horizon, seed, samples_per_step=200)
+                    cells, word = simulate_trajectory(spec, horizon, seed)
                 except OutOfDomainError:
                     continue
                 except ChoppingError:
@@ -453,12 +486,28 @@ class TestRandomSpecs:
                 break
         assume(steps > 0)
 
+    @settings(derandomize=True, database=None, max_examples=200,
+              deadline=None)
+    @given(spec=_random_spec())
+    def test_exact_chopping_refines_the_sampler(self, spec):
+        compared = 0
+        for seed in range(3):
+            for horizon in (8, 4, 2, 1):
+                try:
+                    _exact_refines_sampler(spec, horizon, seed)
+                except OutOfDomainError:
+                    continue
+                compared += 1
+                break
+        assume(compared > 0)
+
 
 def test_import_does_not_load_numpy():
-    # numpy is only needed by the Theorem 1 oracle (simulate_trajectory),
-    # which imports it on first call
+    # neither the pipeline nor its Theorem 1 oracle needs numpy
     src = str(Path(apobs.__file__).resolve().parents[1])
     subprocess.run(
         [sys.executable, "-c",
-         "import apobs, sys; assert 'numpy' not in sys.modules"],
+         "import apobs, sys; "
+         "apobs.simulate_trajectory(apobs.drone_spec(), 3, seed=0); "
+         "assert 'numpy' not in sys.modules"],
         env=dict(os.environ, PYTHONPATH=src), check=True)

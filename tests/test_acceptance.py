@@ -215,8 +215,7 @@ def test_criterion_08_simulation_suite():
         model = drone_model(("b", "c", "g", "p", "r"))
         for seed in range(100):
             # any chopping violation raises from simulate_trajectory
-            cells, word = simulate_trajectory(spec, 25, seed=seed,
-                                              samples_per_step=1000)
+            cells, word = simulate_trajectory(spec, 25, seed=seed)
             assert is_run_of(model, cells, word), seed
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import apobs.game as game_module
 from apobs.abstraction import (SymbolicModel, SystemSpec, Mode,
                                system_spec_to_json)
 from apobs.automata import Nba
@@ -224,6 +225,18 @@ class TestVerify:
         report, art2 = verify(_spec_1d(), "G p", model=art["model"])
         assert art2["model"] is art["model"]
         assert report.times["model"] == 0.0
+
+    def test_repeat_builds_a_fresh_model_each_run(self, monkeypatch):
+        models = []
+
+        def spy(model, nba):
+            models.append(model)
+            return build_game(model, nba)
+
+        monkeypatch.setattr(game_module, "build_game", spy)
+        report, _ = verify(_spec_1d(), "G p", repeat=3)
+        assert report.verdict == "VERIFIED"
+        assert len({id(m) for m in models}) == 3
 
     def test_stage_parse(self):
         with pytest.raises(PipelineError) as e:
