@@ -1,24 +1,26 @@
 """AP-observation automata: construction from NNF formulas, trimming,
 minimization, degeneralization, and lasso-word membership.
 
-States of the generalized automaton are the consistent subformula
-valuations (tuples of observations aligned with the subformula closure)
-that are reachable from a distinguished initial state Q0, plus Q0 itself.
-Transition labels are observation maps over the formula's atoms; by
-construction each edge's label equals its target valuation restricted to
-atoms.
+One type, ``Automaton``, serves every stage: it carries one accepting set
+per U/R subformula before ``degeneralize`` and exactly one after it, and
+its initial state is one of its states.  The states of the automaton
+``build_gba`` makes are a distinguished initial state Q0 and the
+consistent subformula valuations (tuples of observations aligned with the
+subformula closure) reachable from it.  Transition labels are observation
+maps over the formula's atoms; by construction each edge's label equals
+its target valuation restricted to atoms.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .ltl import (NAnd, NFalse, NOr, NRelease, NTrue, NUntil, NegAtom, Nnf,
                   PosAtom, formula_str, subformulas, to_nnf)
 from .observations import NEG, OBS, consistency, is_signal_word
 
 __all__ = [
-    "Q0", "Gba", "Nba", "build_gba", "trim",
+    "Q0", "Automaton", "build_gba", "trim",
     "restrict_valid_letters", "minimize", "degeneralize", "accepts_lasso",
     "translate", "automaton_to_json", "automaton_from_json",
     "automaton_to_dot",
@@ -28,45 +30,26 @@ Q0 = "q0"
 
 
 @dataclass(frozen=True)
-class Gba:
-    """Generalized AP-observation automaton."""
-    aps: tuple
-    states: frozenset        # non-initial states; initial is Q0
-    edges: frozenset         # (src, label, dst); src may be Q0
-    accepting: tuple         # tuple of frozensets, one per U/R subformula
-    accepting_for: tuple     # formula strings naming each accepting set
-
-    @property
-    def n_states(self):
-        return len(self.states) + 1  # counting q0
-
-    def successors(self):
-        return _successors(self.edges)
-
-
-@dataclass(frozen=True)
-class Nba:
-    """AP-observation automaton with a single accepting set."""
+class Automaton:
+    """AP-observation (Büchi) automaton; a run is accepting when it visits
+    every accepting set infinitely often."""
     aps: tuple
     states: frozenset        # includes the initial state
-    edges: frozenset
+    edges: frozenset         # (src, label, dst)
     initial: object
-    accepting: frozenset
+    accepting: tuple         # tuple of frozensets of states
+    accepting_for: tuple = ()  # formula strings naming each accepting set
 
     @property
     def n_states(self):
         return len(self.states)
 
     def successors(self):
-        return _successors(self.edges)
-
-
-def _successors(edges):
-    """Map each source state to its list of (label, target) pairs."""
-    adj = {}
-    for s, o, d in edges:
-        adj.setdefault(s, []).append((o, d))
-    return adj
+        """Map each source state to its list of (label, target) pairs."""
+        adj = {}
+        for s, o, d in self.edges:
+            adj.setdefault(s, []).append((o, d))
+        return adj
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +87,10 @@ def _consistent_valuations_bottomup(sub):
 def build_gba(f):
     """Build the generalized AP-observation automaton for an NNF formula.
 
-    Its states are the consistent valuations reachable from Q0: the build
-    explores forward from Q0, and a valuation gets outgoing edges only once
-    an edge reaches it.
+    Its states are the initial state Q0 and the consistent valuations
+    reachable from it: the build explores forward from Q0, and a valuation
+    gets outgoing edges only once an edge reaches it.  The accepting sets
+    hold valuations only.
     """
     if not isinstance(f, Nnf):
         f = to_nnf(f)
@@ -156,8 +140,8 @@ def build_gba(f):
                 v for v in states if v[r] != "A" or v[i] != "N"))
             accepting_for.append(formula_str(g))
 
-    return Gba(aps, frozenset(states), frozenset(edges),
-               tuple(accepting), tuple(accepting_for))
+    return Automaton(aps, frozenset(states | {Q0}), frozenset(edges), Q0,
+                     tuple(accepting), tuple(accepting_for))
 
 
 # ---------------------------------------------------------------------------
@@ -180,32 +164,47 @@ def restrict_valid_letters(a):
     {Z,E}.  Valid signal words never contain such letters (at most one AP
     changes per slice), so the recognized language over signal words is
     unchanged."""
-    edges = frozenset(
+    return replace(a, edges=frozenset(
         (s, o, d) for s, o, d in a.edges
-        if sum(1 for _, v in o if v in ("Z", "E")) <= 1)
-    return Gba(a.aps, a.states, edges, a.accepting, a.accepting_for)
+        if sum(1 for _, v in o if v in ("Z", "E")) <= 1))
+
+
+def _live(adj, initial):
+    """The reachable, deadlock-free states of the successor map ``adj``:
+    those reachable from ``initial`` from which a run goes on forever, plus
+    ``initial`` itself.
+
+    Dead states are removed with successor counters after one reachability
+    pass: removing a state with no successors never makes another state
+    unreachable, so no fixpoint over both is needed."""
+    live = _reachable(adj, initial)
+    n_succ = dict.fromkeys(live, 0)
+    preds = {}
+    for s in live:
+        for _, d in adj.get(s, ()):
+            n_succ[s] += 1
+            preds.setdefault(d, []).append(s)
+    dead = [s for s, n in n_succ.items() if n == 0 and s != initial]
+    while dead:
+        d = dead.pop()
+        live.discard(d)
+        for s in preds.get(d, ()):
+            n_succ[s] -= 1
+            if n_succ[s] == 0 and s != initial:
+                dead.append(s)
+    return live
 
 
 def trim(a):
-    """Restrict to the reachable, deadlock-free part (every kept state is
-    reachable from Q0 and has an outgoing edge; iterated to fixpoint).
-    Q0 is always kept."""
-    live = set(a.states)
-    while True:
-        adj = {}
-        for s, o, d in a.edges:
-            if (s == Q0 or s in live) and d in live:
-                adj.setdefault(s, []).append((o, d))
-        reach = _reachable(adj, Q0) - {Q0}
-        new = {s for s in live & reach if adj.get(s)}
-        if new == live:
-            break
-        live = new
-    edges = frozenset((s, o, d) for s, o, d in a.edges
-                      if (s == Q0 or s in live) and d in live)
-    return Gba(a.aps, frozenset(live), edges,
-               tuple(frozenset(fs & live) for fs in a.accepting),
-               a.accepting_for)
+    """Restrict to the reachable, deadlock-free part: every kept state is
+    reachable from the initial state and has an outgoing edge to a kept
+    state.  The initial state is always kept."""
+    live = _live(a.successors(), a.initial)
+    return replace(
+        a, states=frozenset(live),
+        edges=frozenset((s, o, d) for s, o, d in a.edges
+                        if s in live and d in live),
+        accepting=tuple(fs & live for fs in a.accepting))
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +213,13 @@ def trim(a):
 def minimize(a):
     """Quotient by the coarsest partition in which states of a block belong
     to the same accepting sets and have identical (label, target-block)
-    edge sets.  Q0 stays its own block."""
+    edge sets.  The initial state stays its own block and keeps its name;
+    every other block is named by the tuple of its states."""
     adj = a.successors()
     states = sorted(a.states, key=repr)
 
     def acc_sig(s):
-        return tuple(s in fs for fs in a.accepting)
+        return (s == a.initial,) + tuple(s in fs for fs in a.accepting)
 
     block_of = {}
     sig_to_block = {}
@@ -247,17 +247,16 @@ def minimize(a):
     # a block is the tuple of its states in sorted order, so its repr, and
     # every order taken from it downstream, does not depend on the hash seed
     block_state = {i: tuple(ss) for i, ss in blocks.items()}
+    block_state[block_of[a.initial]] = a.initial
 
-    edges = set()
-    for s, o, d in a.edges:
-        src = Q0 if s == Q0 else block_state[block_of[s]]
-        edges.add((src, o, block_state[block_of[d]]))
+    edges = {(block_state[block_of[s]], o, block_state[block_of[d]])
+             for s, o, d in a.edges}
     accepting = tuple(
         frozenset(block_state[i] for i, ss in blocks.items()
                   if ss[0] in fs)
         for fs in a.accepting)
-    return Gba(a.aps, frozenset(block_state.values()), frozenset(edges),
-               accepting, a.accepting_for)
+    return replace(a, states=frozenset(block_state.values()),
+                   edges=frozenset(edges), accepting=accepting)
 
 
 # ---------------------------------------------------------------------------
@@ -271,46 +270,33 @@ def degeneralize(a):
     (i mod m)+1 when the source s belongs to F_i, and the accepting set is
     {(s, 1) | s in F_1}.  The counter runs over the accepting sets in
     reverse subformula order (outermost connective first); this is the
-    fixed convention.  The result is restricted to its reachable
-    deadlock-free part.
+    fixed convention.  With no accepting set, F_1 is every state but the
+    initial one.  Only the reachable deadlock-free part of ``a`` is
+    explored, so the result has no dead states either.
     """
-    accepting = tuple(reversed(a.accepting))
-    if not accepting:
-        accepting = (frozenset(a.states),)
+    accepting = tuple(reversed(a.accepting)) or (a.states - {a.initial},)
     m = len(accepting)
     adj = a.successors()
-
-    def advance(s, i):
-        return (i % m) + 1 if s in accepting[i - 1] else i
+    live = _live(adj, a.initial)
 
     edges = set()
-    init = (Q0, 1)
+    init = (a.initial, 1)
     seen = {init}
     stack = [init]
     while stack:
         s, i = stack.pop()
-        i2 = advance(s, i) if s != Q0 else i
+        i2 = (i % m) + 1 if s in accepting[i - 1] else i
         for o, d in adj.get(s, ()):
+            if d not in live:
+                continue
             nxt = (d, i2)
             edges.add(((s, i), o, nxt))
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
 
-    # deadlock-free restriction
-    states = set(seen)
-    while True:
-        out = {s for s, _, _ in edges}
-        dead = {s for s in states if s not in out and s != init}
-        if not dead:
-            break
-        states -= dead
-        edges = {(s, o, d) for s, o, d in edges
-                 if s in states and d in states}
-
-    acc = frozenset((s, 1) for s in accepting[0]
-                    if (s, 1) in states)
-    return Nba(a.aps, frozenset(states), frozenset(edges), init, acc)
+    acc = frozenset((s, 1) for s in accepting[0] if (s, 1) in seen)
+    return Automaton(a.aps, frozenset(seen), frozenset(edges), init, (acc,))
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +352,7 @@ def accepts_lasso(a, w):
     """Does the automaton accept the signal word lasso ``w``?
 
     Builds the product of the word positions with the automaton and looks
-    for a reachable cycle intersecting every accepting set (generalized) or
-    the accepting set (single).
+    for a reachable cycle intersecting every accepting set.
     """
     ok, why = is_signal_word(w)
     if not ok:
@@ -376,13 +361,6 @@ def accepts_lasso(a, w):
         raise ValueError(
             f"AP domain mismatch: word {list(w.aps)} vs automaton "
             f"{list(a.aps)}")
-
-    if isinstance(a, Nba):
-        init = a.initial
-        acc_sets = [a.accepting]
-    else:
-        init = Q0
-        acc_sets = list(a.accepting)
 
     by_src_label = {}
     for s, o, d in a.edges:
@@ -393,7 +371,7 @@ def accepts_lasso(a, w):
         k2 = w.canonical(k + 1)
         return [(k2, d) for d in by_src_label.get((s, w._raw(k)), ())]
 
-    start = (0, init)
+    start = (0, a.initial)
     seen = {start}
     stack = [start]
     adj = {}
@@ -412,7 +390,7 @@ def accepts_lasso(a, w):
         if not nontrivial:
             continue
         comp_states = {s for _, s in comp}
-        if all(comp_states & fs for fs in acc_sets):
+        if all(comp_states & fs for fs in a.accepting):
             return True
     return False
 
@@ -443,13 +421,8 @@ def translate(f):
 
 
 def _state_names(a):
-    if isinstance(a, Nba):
-        states = sorted(a.states - {a.initial}, key=repr)
-        names = {a.initial: "q0"}
-    else:
-        states = sorted(a.states, key=repr)
-        names = {Q0: "q0"}
-    for i, s in enumerate(states, start=1):
+    names = {a.initial: "q0"}
+    for i, s in enumerate(sorted(a.states - {a.initial}, key=repr), start=1):
         names[s] = f"q{i}"
     return names
 
@@ -457,56 +430,41 @@ def _state_names(a):
 def automaton_to_json(a):
     names = _state_names(a)
     edges = sorted((names[s], o, names[d]) for s, o, d in a.edges)
-    if isinstance(a, Nba):
-        accepting = [sorted(names[s] for s in a.accepting)]
-        kind = "nba"
-    else:
-        accepting = [sorted(names[s] for s in fs) for fs in a.accepting]
-        kind = "gba"
     return {
-        "kind": kind,
+        "accepting_for": list(a.accepting_for),
         "aps": list(a.aps),
         "states": sorted(names.values(), key=lambda x: int(x[1:])),
         "initial": "q0",
         "edges": [{"src": s, "label": dict(o), "dst": d}
                   for s, o, d in edges],
-        "accepting": accepting,
+        "accepting": [sorted(names[s] for s in fs) for fs in a.accepting],
     }
 
 
 def automaton_from_json(obj):
-    aps = tuple(sorted(obj["aps"]))
     edges = frozenset(
         (e["src"], tuple(sorted(e["label"].items())), e["dst"])
         for e in obj["edges"])
-    states = frozenset(obj["states"]) - {obj["initial"]}
-    if obj.get("kind") == "gba" or len(obj["accepting"]) != 1:
-        return Gba(aps, states, edges,
-                   tuple(frozenset(fs) for fs in obj["accepting"]),
-                   tuple(f"F{i}" for i in range(len(obj["accepting"]))))
-    return Nba(aps, frozenset(obj["states"]), edges, obj["initial"],
-               frozenset(obj["accepting"][0]))
+    return Automaton(tuple(sorted(obj["aps"])), frozenset(obj["states"]),
+                     edges, obj["initial"],
+                     tuple(frozenset(fs) for fs in obj["accepting"]),
+                     tuple(obj["accepting_for"]))
 
 
 def automaton_to_dot(a, title=""):
+    """DOT text; a state in an accepting set is a double circle, labelled
+    with the indices of its sets when there is more than one set."""
     names = _state_names(a)
     lines = ["digraph automaton {", "  rankdir=LR;"]
     if title:
         lines.append(f'  label="{title}";')
-    if isinstance(a, Nba):
-        acc = {names[s] for s in a.accepting}
-        for s in sorted(names.values(), key=lambda x: int(x[1:])):
-            shape = "doublecircle" if s in acc else "circle"
-            lines.append(f'  {s} [shape={shape}];')
-    else:
-        memberships = {
-            names[s]: [i + 1 for i, fs in enumerate(a.accepting) if s in fs]
-            for s in a.states}
-        for s in sorted(names.values(), key=lambda x: int(x[1:])):
-            ms = memberships.get(s, [])
+    for s, n in sorted(names.items(), key=lambda kv: int(kv[1][1:])):
+        ms = [i + 1 for i, fs in enumerate(a.accepting) if s in fs]
+        attrs = f'shape={"doublecircle" if ms else "circle"}'
+        if len(a.accepting) > 1:
             extra = f'\\nF{",".join(map(str, ms))}' if ms else ""
-            shape = "doublecircle" if ms else "circle"
-            lines.append(f'  {s} [shape={shape}, label="{s}{extra}"];')
+            attrs += f', label="{n}{extra}"'
+        lines.append(f"  {n} [{attrs}];")
     lines.append('  init [shape=point];')
     lines.append('  init -> q0;')
     grouped = {}

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import abstraction as _abs
 from . import automata as _aut
@@ -77,11 +77,13 @@ def build_game(model, nba):
     breadth-first from (q_in, b_in) and totalized with sinks.
 
     Opponent successors follow the model's transition order, Player
-    successors the automaton states ranked once by ``repr``."""
+    successors the automaton states ranked once by ``repr``.  The
+    automaton must have exactly one accepting set."""
     if tuple(sorted(model.aps)) != tuple(sorted(nba.aps)):
         raise ValueError(
             f"alphabet mismatch: model tracks {model.aps}, "
             f"automaton reads {nba.aps}")
+    (acc,) = nba.accepting
     rank = {b: i for i, b in enumerate(sorted(nba.states, key=repr))}
     b_succ = {}
     for b, o, b2 in nba.edges:
@@ -125,7 +127,7 @@ def build_game(model, nba):
         succ.append(tuple(row))
     accepting = frozenset(
         i for i, v in enumerate(names)
-        if (v[0] == "O" and v[2] in nba.accepting) or v == WIN)
+        if (v[0] == "O" and v[2] in acc) or v == WIN)
     # keyed by the ints the successor tuples already hold: no second copy
     return BuchiGame(tuple(names), dict(zip(ids.values(), succ)),
                      bytes(owner), accepting, 0,
@@ -286,8 +288,9 @@ def verify(spec, formula, repeat=1, allow_unsound_tau=False, model=None):
 
     ``times["model"]`` covers only the up-front part of the model build:
     the transitions of the cells the game reaches are computed on first
-    access, inside ``times["game_build"]``.  The spec keeps the ``v_max``
-    its first model build computes, so later runs skip that part.
+    access, inside ``times["game_build"]``.  Runs after the first build
+    their model on a fresh copy of the spec, which has none of the values
+    (such as ``v_max``) the spec keeps once computed.
     """
     repeat = max(1, repeat)
     if isinstance(formula, str):
@@ -312,10 +315,11 @@ def verify(spec, formula, repeat=1, allow_unsound_tau=False, model=None):
         return result
 
     given = model
-    for _ in range(repeat):
+    for run in range(repeat):
         nba = timed("automaton", lambda: _aut.translate(nnf)["nba"])
         if given is None:
-            model = timed("model", _abs.build_symbolic_model, spec,
+            model = timed("model", _abs.build_symbolic_model,
+                          replace(spec) if run else spec,
                           tracked_aps=tracked, force=allow_unsound_tau)
         game = timed("game_build", build_game, model, nba)
         result = timed("game_solve", solve_buchi, game)

@@ -20,7 +20,6 @@ __all__ = [
     "NUntil", "NRelease",
     "LtlSyntaxError", "UnsupportedOperatorError",
     "parse_ltl", "to_nnf", "subformulas", "atoms", "formula_str",
-    "nontrivial_count",
 ]
 
 
@@ -322,12 +321,6 @@ def atoms(f):
     """Sorted tuple of atomic proposition names occurring in an NNF formula."""
     return tuple(sorted({s.name for s in subformulas(f)
                          if isinstance(s, PosAtom)}))
-
-
-def nontrivial_count(sub):
-    """Subformula count excluding the constants true/false (the convention
-    used when reporting 'number of subformulas')."""
-    return sum(1 for s in sub if not isinstance(s, (NTrue, NFalse)))
 
 
 def formula_str(f):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from apobs.abstraction import (SINK, _P_E, _P_Z, box_vs_region, gamma,
                                mode_for_cell, reach_box, region_contains)
-from apobs.automata import (Gba, Q0, _consistent_valuations_bottomup,
+from apobs.automata import (Automaton, Q0, _consistent_valuations_bottomup,
                             _reachable, _sccs)
 from apobs.ltl import (Atom, And, FalseF, Not, Or, Release, TrueF, Until,
                        NAnd, NFalse, NOr, NRelease, NTrue, NUntil, NegAtom,
@@ -121,8 +121,8 @@ def full_gba_reference(f):
             accepting.append(frozenset(
                 v for v in states if v[r] != "A" or v[i] != "N"))
             accepting_for.append(formula_str(g))
-    return Gba(aps, frozenset(states), frozenset(edges),
-               tuple(accepting), tuple(accepting_for))
+    return Automaton(aps, frozenset(states) | {Q0}, frozenset(edges), Q0,
+                     tuple(accepting), tuple(accepting_for))
 
 
 def _gfg_reference():
@@ -136,21 +136,24 @@ def _gfg_reference():
         ("q2", g("E"), "q3"), ("q2", g("N"), "q1"),
         ("q3", g("A"), "q3"), ("q3", g("Z"), "q2"),
     }
-    return Gba(("g",), frozenset({"q1", "q2", "q3"}), frozenset(edges),
-               (frozenset({"q2", "q3"}), frozenset({"q1", "q2", "q3"})),
-               ("F g", "G F g"))
+    return Automaton(("g",), frozenset({Q0, "q1", "q2", "q3"}),
+                     frozenset(edges), Q0,
+                     (frozenset({"q2", "q3"}), frozenset({"q1", "q2", "q3"})),
+                     ("F g", "G F g"))
 
 
 def gba_isomorphic(a, b):
-    """Isomorphism with Q0 fixed, accepting sets matched in order."""
+    """Isomorphism mapping initial state to initial state, accepting sets
+    matched in order.  Tries every permutation of the other states."""
     if (a.aps != b.aps or a.n_states != b.n_states
             or len(a.edges) != len(b.edges)
             or len(a.accepting) != len(b.accepting)):
         return False
-    sa, sb = sorted(a.states), sorted(b.states)
+    sa = sorted(a.states - {a.initial}, key=repr)
+    sb = sorted(b.states - {b.initial}, key=repr)
     for perm in itertools.permutations(sb):
         m = dict(zip(sa, perm))
-        m[Q0] = Q0
+        m[a.initial] = b.initial
         if {(m[s], o, m[d]) for s, o, d in a.edges} != set(b.edges):
             continue
         if all(frozenset(m[s] for s in fa) == fb
@@ -184,8 +187,8 @@ def _can_reach(adj, targets, universe):
 
 
 def prune(a):
-    """Keep exactly the states from which an accepting run exists, plus Q0,
-    restricted to the part reachable from Q0.
+    """Keep exactly the states from which an accepting run exists, plus the
+    initial state, restricted to the part reachable from the initial state.
 
     Computed as the largest sub-automaton in which every state has an
     outgoing edge and can reach every accepting set, iterated to fixpoint.
@@ -193,7 +196,8 @@ def prune(a):
     move on, and repeat forever, so the fixpoint is exactly the set of
     states with an accepting run.
     """
-    live = set(a.states)
+    init = a.initial
+    live = set(a.states - {init})
     while True:
         adj = {}
         for s, o, d in a.edges:
@@ -209,15 +213,32 @@ def prune(a):
 
     adj = {}
     for s, o, d in a.edges:
-        if (s == Q0 or s in live) and d in live:
+        if (s == init or s in live) and d in live:
             adj.setdefault(s, []).append((o, d))
-    reach = _reachable(adj, Q0) - {Q0}
-    keep = live & reach
+    keep = (live & _reachable(adj, init)) | {init}
     edges = frozenset((s, o, d) for s, o, d in a.edges
-                      if (s == Q0 or s in keep) and d in keep)
-    return Gba(a.aps, frozenset(keep), edges,
-               tuple(frozenset(fs & keep) for fs in a.accepting),
-               a.accepting_for)
+                      if s in keep and d in keep)
+    return Automaton(a.aps, frozenset(keep), edges, init,
+                     tuple(frozenset(fs & keep) for fs in a.accepting),
+                     a.accepting_for)
+
+
+def trim_reference(a):
+    """The states ``trim`` keeps, by its definition: the largest set of
+    states reachable from the initial state (inside the set) in which every
+    state but the initial one has a successor inside the set.  Iterates
+    reachability and deadlock removal together to a fixpoint."""
+    live = set(a.states)
+    while True:
+        adj = {}
+        for s, o, d in a.edges:
+            if s in live and d in live:
+                adj.setdefault(s, []).append((o, d))
+        new = {s for s in _reachable(adj, a.initial) & live
+               if s == a.initial or adj.get(s)}
+        if new == live:
+            return live
+        live = new
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +429,7 @@ def enumerate_valid_words(aps, max_size):
 def accepts_raw_lasso(nba, prefix, loop):
     """Does the automaton accept the word prefix . loop^omega (labels given
     as canonical sorted item tuples)?"""
+    (acc,) = nba.accepting
     by = {}
     for s, o, d in nba.edges:
         by.setdefault((s, o), []).append(d)
@@ -436,7 +458,7 @@ def accepts_raw_lasso(nba, prefix, loop):
     for comp in _sccs(adj, sorted(seen, key=repr)):
         cs = set(comp)
         nontrivial = len(comp) > 1 or any(d in cs for d in adj[comp[0]])
-        if nontrivial and any(s in nba.accepting for _, s in comp):
+        if nontrivial and any(s in acc for _, s in comp):
             return True
     return False
 
@@ -460,7 +482,7 @@ def accepting_run_states(gba, w):
     def canon(k):
         return k if k < p + 2 * l else p + l + (k - p - l) % l
 
-    start = (0, Q0)
+    start = (0, gba.initial)
     seen = {start}
     stack = [start]
     adj = {}
@@ -495,7 +517,7 @@ def accepting_run_states(gba, w):
 
     out = {}
     for (j, s) in good:
-        if s == Q0:
+        if s == gba.initial:
             continue
         k = j - 1  # s is the valuation at the position just read
         k = k if k < p else p + (k - p) % l
@@ -522,7 +544,8 @@ def model_words_included(model, nba):
     s_idx = {q: i for i, q in enumerate(s_states)}
     b_states = sorted(nba.states, key=repr)
     b_idx = {b: i for i, b in enumerate(b_states)}
-    acc = {b_idx[b] for b in nba.accepting}
+    (acc_states,) = nba.accepting
+    acc = {b_idx[b] for b in acc_states}
 
     def letter_profile(o):
         rel_s = frozenset(
@@ -695,7 +718,6 @@ def rand_model(rng, letters, max_states=4):
 
 
 def rand_nba(rng, letters, max_states=3):
-    from apobs.automata import Nba
     n = rng.randrange(1, max_states + 1)
     states = [f"b{i}" for i in range(n)]
     edges = set()
@@ -706,8 +728,8 @@ def rand_nba(rng, letters, max_states=3):
                     edges.add((b, o, b2))
     accepting = frozenset(b for b in states if rng.random() < 0.5)
     aps = tuple(sorted({p for o in letters for p, _ in o}))
-    return Nba(aps, frozenset(states), frozenset(edges), states[0],
-               accepting)
+    return Automaton(aps, frozenset(states), frozenset(edges), states[0],
+                     (accepting,))
 
 
 # ---------------------------------------------------------------------------

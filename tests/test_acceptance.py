@@ -7,7 +7,7 @@ from contextlib import contextmanager
 
 from apobs.abstraction import build_symbolic_model, simulate_trajectory, \
     is_run_of
-from apobs.automata import Nba, accepts_lasso, build_gba, translate
+from apobs.automata import Automaton, accepts_lasso, build_gba, translate
 from apobs.cli import BENCH_FORMULAS, PAPER_REFERENCE
 from apobs.game import build_game, solve_buchi, verify
 from apobs.ltl import atoms, formula_str, parse_ltl, subformulas, to_nnf
@@ -195,8 +195,8 @@ def test_criterion_07_game_vs_language_inclusion():
                         edges.add((b, o, r.choice(states)))
             accepting = frozenset(b for b in states if r.random() < 0.5)
             aps = tuple(sorted({p for o in ls for p, _ in o}))
-            return Nba(aps, frozenset(states), frozenset(edges), states[0],
-                       accepting)
+            return Automaton(aps, frozenset(states), frozenset(edges),
+                             states[0], (accepting,))
 
         rng = random.Random(0)
         for i in range(200):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from apobs.automata import (Gba, Nba, Q0, _consistent_valuations_bottomup,
+from apobs.automata import (Automaton, Q0, _consistent_valuations_bottomup,
                             accepts_lasso, automaton_from_json,
                             automaton_to_dot, automaton_to_json, build_gba,
                             degeneralize, minimize, restrict_valid_letters,
@@ -13,7 +13,7 @@ from apobs.ltl import formula_str, parse_ltl, subformulas, to_nnf, atoms
 from apobs.observations import SignalWord, chop, eval_signal
 from conftest import (_consistent_valuations_bruteforce, _gfg_reference,
                       full_gba_reference, gba_isomorphic, prune, rand_nnf,
-                      rand_signal)
+                      rand_signal, trim_reference)
 
 DEEP_FORMULAS = ("G r & F (g & F (p & F (c & F b)))",
                  "G F g & G F p & G F c & G r")
@@ -24,12 +24,12 @@ class TestBuildGba:
         # F g = true U g: per g-observation the until cell of (A, o) allows
         # A:1, Z:2, E:1, N:2 valuations -- 6 states plus q0.
         a = build_gba(to_nnf(parse_ltl("F g")))
-        assert len(a.states) == 6
+        assert len(a.states - {Q0}) == 6
         assert a.n_states == 7
 
     def test_atom(self):
         a = build_gba(to_nnf(parse_ltl("p")))
-        assert a.states == frozenset({("A",), ("Z",), ("E",), ("N",)})
+        assert a.states == frozenset({Q0, ("A",), ("Z",), ("E",), ("N",)})
         # q0 reads only states whose root valuation starts true (A or Z)
         q0_targets = {d for s, _, d in a.edges if s == Q0}
         assert q0_targets == {("A",), ("Z",)}
@@ -61,10 +61,11 @@ def _reachable_part(a):
             if d not in seen:
                 seen.add(d)
                 stack.append(d)
-    states = frozenset(seen - {Q0})
-    return Gba(a.aps, states,
-               frozenset(e for e in a.edges if e[0] in seen),
-               tuple(fs & states for fs in a.accepting), a.accepting_for)
+    states = frozenset(seen)
+    return Automaton(a.aps, states,
+                     frozenset(e for e in a.edges if e[0] in seen), Q0,
+                     tuple(fs & states for fs in a.accepting),
+                     a.accepting_for)
 
 
 class TestForwardBuild:
@@ -114,6 +115,28 @@ class TestForwardBuild:
         assert degeneralize(minimized).n_states == 1147
 
 
+def _dead_chain():
+    """q0 -> a -> b -> c dead-ends; q0 -> x loops; u is unreachable."""
+    lbl = (("p", "A"),)
+    return Automaton(("p",), frozenset({Q0, "a", "b", "c", "x", "u"}),
+                     frozenset({(Q0, lbl, "a"), ("a", lbl, "b"),
+                                ("b", lbl, "c"), (Q0, lbl, "x"),
+                                ("x", lbl, "x"), ("u", lbl, "x")}),
+                     Q0, (frozenset({"b", "x", "u"}),))
+
+
+def _rand_sparse(rng, n=6):
+    """Random automaton with few edges, so that dead states, dead chains
+    and unreachable states are common; two accepting sets without Q0."""
+    states = [Q0] + [f"s{i}" for i in range(n)]
+    letters = [(("p", "A"),), (("p", "N"),)]
+    edges = frozenset((s, o, d) for s in states for o in letters
+                      for d in states[1:] if rng.random() < 0.12)
+    accepting = tuple(frozenset(s for s in states[1:] if rng.random() < 0.5)
+                      for _ in range(2))
+    return Automaton(("p",), frozenset(states), edges, Q0, accepting)
+
+
 class TestPipelineStages:
     def test_gfg_minimized_matches_reference(self):
         art = translate(to_nnf(parse_ltl("G F g")))
@@ -125,7 +148,7 @@ class TestPipelineStages:
 
     def test_globally_prunes_to_single_state(self):
         a = prune(build_gba(to_nnf(parse_ltl("G p"))))
-        assert a.states == frozenset({("N", "A", "A")})
+        assert a.states == frozenset({Q0, ("N", "A", "A")})
         lbl = (("p", "A"),)
         assert a.edges == frozenset({
             (("N", "A", "A"), lbl, ("N", "A", "A")),
@@ -133,7 +156,7 @@ class TestPipelineStages:
 
     def test_empty_language_prunes_to_q0(self):
         a = prune(build_gba(to_nnf(parse_ltl("F g & G !g"))))
-        assert a.states == frozenset()
+        assert a.states == frozenset({Q0})
         assert a.edges == frozenset()
 
     def test_restrict_valid_letters(self):
@@ -148,6 +171,47 @@ class TestPipelineStages:
         adj = a.successors()
         for s in a.states:
             assert adj.get(s)
+
+    def test_trim_equals_definition(self):
+        rng = random.Random(59)
+        formulas = [rand_nnf(rng, 3, ("p", "q")) for _ in range(60)]
+        cases = [restrict_valid_letters(build_gba(f)) for f in formulas]
+        cases += [_rand_sparse(rng) for _ in range(100)]
+        shrunk = 0
+        for a in cases:
+            t = trim(a)
+            live = trim_reference(a)
+            assert t.states == live, a
+            assert t.edges == frozenset(
+                e for e in a.edges if e[0] in live and e[2] in live)
+            assert t.accepting == tuple(fs & live for fs in a.accepting)
+            assert t.initial == a.initial == Q0
+            shrunk += t.n_states < a.n_states
+        assert shrunk > 0
+
+    def test_trim_removes_dead_chain(self):
+        a = _dead_chain()
+        lbl = (("p", "A"),)
+        assert trim_reference(a) == {Q0, "x"}
+        assert trim(a) == Automaton(
+            ("p",), frozenset({Q0, "x"}),
+            frozenset({(Q0, lbl, "x"), ("x", lbl, "x")}), Q0,
+            (frozenset({"x"}),))
+
+    def test_degeneralize_trims_its_input(self):
+        # the pipeline's automata have unreachable states but no dead ones:
+        # the dead chain and the sparse random automata supply those
+        rng = random.Random(67)
+        cases = [_dead_chain()]
+        for _ in range(60):
+            raw = build_gba(rand_nnf(rng, 3, ("p", "q")))
+            cases += [raw, restrict_valid_letters(raw)]
+        cases += [_rand_sparse(rng) for _ in range(100)]
+        dead = 0
+        for a in cases:
+            assert degeneralize(a) == degeneralize(trim(a)), a
+            dead += any(not a.successors().get(s) for s in a.states)
+        assert dead > 0
 
     def test_minimize_idempotent(self):
         rng = random.Random(43)
@@ -164,7 +228,7 @@ class TestPipelineStages:
     def test_translate_artifacts(self):
         art = translate(to_nnf(parse_ltl("F p")))
         assert set(art) == {"gba", "trimmed", "minimized", "nba"}
-        assert isinstance(art["nba"], Nba)
+        assert len(art["nba"].accepting) == 1
         assert art["gba"].n_states >= art["trimmed"].n_states >= \
             art["minimized"].n_states
 
@@ -224,14 +288,17 @@ class TestLanguagePreservation:
 class TestSerialization:
     def test_json_roundtrip_gba(self):
         a = translate(to_nnf(parse_ltl("G F g")))["minimized"]
+        assert a.n_states <= 8  # gba_isomorphic tries every permutation
         b = automaton_from_json(automaton_to_json(a))
-        assert gba_isomorphic(a, b) or b == a or \
-            (b.n_states == a.n_states and len(b.edges) == len(a.edges))
+        assert gba_isomorphic(a, b)
+        assert b.accepting_for == a.accepting_for
 
     def test_json_roundtrip_nba(self):
         a = translate(to_nnf(parse_ltl("G r")))["nba"]
+        assert a.n_states <= 8  # gba_isomorphic tries every permutation
         b = automaton_from_json(automaton_to_json(a))
-        assert isinstance(b, Nba)
+        assert len(b.accepting) == 1
+        assert gba_isomorphic(a, b)
         assert b.n_states == a.n_states
         assert len(b.edges) == len(a.edges)
         w = SignalWord.make(("r",), [], [{"r": "A"}])

@@ -2,13 +2,15 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
+import apobs.abstraction as abstraction_module
 import apobs.game as game_module
 from apobs.abstraction import (SymbolicModel, SystemSpec, Mode,
                                system_spec_to_json)
-from apobs.automata import Nba
+from apobs.automata import Automaton
 from apobs.cli import BENCH_FORMULAS
 from apobs.game import (LOSE, WIN, BuchiGame, PipelineError, _config_hash,
                         build_game, game_to_json, report_from_json,
@@ -32,9 +34,9 @@ def _one_state_model(letters):
 
 
 def _accept_all_nba(letters):
-    return Nba(("p",), frozenset({"b0"}),
-               frozenset(("b0", o, "b0") for o in letters),
-               "b0", frozenset({"b0"}))
+    return Automaton(("p",), frozenset({"b0"}),
+                     frozenset(("b0", o, "b0") for o in letters),
+                     "b0", (frozenset({"b0"}),))
 
 
 def _spec_1d():
@@ -68,9 +70,9 @@ class TestBuildGame:
         # the automaton only reads N, the model only emits A: every Player
         # vertex is stuck and gets redirected to the LOSE sink
         model = _one_state_model(_letters("A"))
-        nba = Nba(("p",), frozenset({"b0"}),
-                  frozenset({("b0", (("p", "N"),), "b0")}),
-                  "b0", frozenset({"b0"}))
+        nba = Automaton(("p",), frozenset({"b0"}),
+                        frozenset({("b0", (("p", "N"),), "b0")}),
+                        "b0", (frozenset({"b0"}),))
         game = build_game(model, nba)
         assert LOSE in game.names
         assert game.redirected_player
@@ -91,10 +93,18 @@ class TestBuildGame:
 
     def test_alphabet_mismatch(self):
         model = _one_state_model(_letters("A"))
-        nba = Nba(("q",), frozenset({"b0"}),
-                  frozenset({("b0", (("q", "A"),), "b0")}),
-                  "b0", frozenset({"b0"}))
+        nba = Automaton(("q",), frozenset({"b0"}),
+                        frozenset({("b0", (("q", "A"),), "b0")}),
+                        "b0", (frozenset({"b0"}),))
         with pytest.raises(ValueError, match="alphabet mismatch"):
+            build_game(model, nba)
+
+    @pytest.mark.parametrize("n_sets", [0, 2])
+    def test_needs_one_accepting_set(self, n_sets):
+        model = _one_state_model(_letters("A"))
+        nba = replace(_accept_all_nba(_letters("A")),
+                      accepting=(frozenset({"b0"}),) * n_sets)
+        with pytest.raises(ValueError):
             build_game(model, nba)
 
     def test_more_automaton_edges_never_hurt(self):
@@ -110,8 +120,7 @@ class TestBuildGame:
                 for o in letters:
                     if rng.random() < 0.3:
                         extra.add((b, o, rng.choice(sorted(nba.states))))
-            nba2 = Nba(nba.aps, nba.states, frozenset(extra), nba.initial,
-                       nba.accepting)
+            nba2 = replace(nba, edges=frozenset(extra))
             r1 = solve_buchi(build_game(model, nba))
             r2 = solve_buchi(build_game(model, nba2))
             if r1.winning:
@@ -237,6 +246,23 @@ class TestVerify:
         report, _ = verify(_spec_1d(), "G p", repeat=3)
         assert report.verdict == "VERIFIED"
         assert len({id(m) for m in models}) == 3
+
+    def test_repeat_builds_each_model_on_a_cold_spec(self, monkeypatch):
+        # the spec keeps v_max once a model build computes it; runs after
+        # the first must not find it there
+        cached = []
+        real = abstraction_module.build_symbolic_model
+
+        def spy(spec, **kwargs):
+            cached.append("v_max" in spec.__dict__)
+            return real(spec, **kwargs)
+
+        monkeypatch.setattr(abstraction_module, "build_symbolic_model", spy)
+        spec = _spec_1d()
+        report, _ = verify(spec, "G p", repeat=3)
+        assert report.verdict == "VERIFIED"
+        assert cached == [False, False, False]
+        assert "v_max" in spec.__dict__  # run 1 built on the spec itself
 
     def test_stage_parse(self):
         with pytest.raises(PipelineError) as e:
