@@ -25,7 +25,7 @@ from .abstraction import (
 )
 from .game import (
     build_game, solve_buchi, verify, Report, PipelineError,
-    report_to_json, report_from_json,
+    report_to_json,
 )
 from .scenarios import drone_spec, make_scenario
 

@@ -140,8 +140,8 @@ class SystemSpec:
     ap_regions: dict        # ap name -> region
 
     def __post_init__(self):
-        if self.eta <= 0 or self.tau <= 0:
-            raise ValueError("eta and tau must be positive")
+        if not (0 < self.eta < math.inf and 0 < self.tau < math.inf):
+            raise ValueError("eta and tau must be positive and finite")
         for m in self.modes.values():
             if m.u is None and m.v - m.ev < 0:
                 raise ValueError("speed deviation exceeds nominal speed")

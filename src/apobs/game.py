@@ -19,6 +19,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from . import abstraction as _abs
@@ -28,8 +30,7 @@ from . import ltl as _ltl
 __all__ = [
     "BuchiGame", "SolveResult", "Report", "PipelineError",
     "build_game", "solve_buchi", "verify",
-    "solve_result_to_json", "report_to_json", "report_from_json",
-    "game_to_json",
+    "solve_result_to_json", "report_to_json", "game_to_json",
 ]
 
 WIN = ("sink", "win")
@@ -45,17 +46,49 @@ class PipelineError(RuntimeError):
         self.cause = cause
 
 
+class _Names(Sequence):
+    """Read-only vertex names of a game from ``build_game``: vertex i's
+    tuple is made from its int key ``keys[i]`` when it is read.
+
+    With nb automaton states, ranked by ``repr`` into ``states``, an
+    Opponent vertex (cells[c], states[b]) has key 2 * (c * nb + b) and a
+    Player vertex (cells[pair_cell[p]], pair_label[p], states[b]) has key
+    2 * (p * nb + b) + 1; the sinks WIN and LOSE have keys -1 and -2."""
+
+    def __init__(self, keys, cells, pair_cell, pair_label, states):
+        self._keys = keys
+        self._cells = cells
+        self._pair_cell = pair_cell
+        self._pair_label = pair_label
+        self._states = states
+
+    def __len__(self):
+        return len(self._keys)
+
+    def __getitem__(self, i):
+        k = self._keys[i]
+        if k < 0:
+            return WIN if k == -1 else LOSE
+        x, b = divmod(k >> 1, len(self._states))
+        if k & 1:
+            return ("P", self._cells[self._pair_cell[x]],
+                    self._pair_label[x], self._states[b])
+        return ("O", self._cells[x], self._states[b])
+
+
 @dataclass(frozen=True)
 class BuchiGame:
     """A game on the vertex ids 0..n-1, numbered in breadth-first discovery
     order from the initial vertex 0.  ``names[i]`` is vertex i as a tuple:
     ("O", q, b) Opponent-owned, ("P", q, o, b) Player-owned, or one of
     the totalizing sinks WIN (accepting self-loop) and LOSE (non-accepting
-    self-loop).  Only the exporters read the names.
+    self-loop).  In a game from ``build_game`` ``names`` is a read-only
+    sequence that makes each tuple when it is read; a hand-made game may
+    pass a tuple.  Only the exporters read the names.
 
     Every field is listed in discovery order, which depends on neither the
     hash seed nor anything else outside the model and the automaton."""
-    names: tuple                 # id -> vertex tuple
+    names: Sequence              # id -> vertex tuple
     edges: dict                  # id -> tuple of successor ids
     owner: bytes                 # per id: 0 (Player) or 1 (Opponent)
     accepting: frozenset
@@ -78,59 +111,104 @@ def build_game(model, nba):
 
     Opponent successors follow the model's transition order, Player
     successors the automaton states ranked once by ``repr``.  The
-    automaton must have exactly one accepting set."""
+    automaton must have exactly one accepting set.
+
+    The product is explored on ints (see ``_Names`` for the vertex
+    keys): a cell's transitions are read and numbered when its first
+    Opponent vertex is expanded, and a label is hashed once per
+    transition read, not once per game edge."""
     if tuple(sorted(model.aps)) != tuple(sorted(nba.aps)):
         raise ValueError(
             f"alphabet mismatch: model tracks {model.aps}, "
             f"automaton reads {nba.aps}")
     (acc,) = nba.accepting
-    rank = {b: i for i, b in enumerate(sorted(nba.states, key=repr))}
-    b_succ = {}
+    states = sorted(nba.states, key=repr)
+    nb = len(states)
+    rank = {b: i for i, b in enumerate(states)}
+    letter_ids = {}
+    b_succ = {}          # letter id * nb + rank of b -> 2 * ranks of b'
     for b, o, b2 in nba.edges:
-        b_succ.setdefault((b, o), []).append(b2)
+        k = letter_ids.setdefault(o, len(letter_ids))
+        b_succ.setdefault(k * nb + rank[b], []).append(2 * rank[b2])
     for outs in b_succ.values():
-        outs.sort(key=rank.__getitem__)
+        outs.sort()
+    is_acc = bytes(b in acc for b in states)
 
-    names = [("O", model.q_in, nba.initial)]
-    ids = {names[0]: 0}
+    cells = [model.q_in]
+    cell_ids = {model.q_in: 0}
+    cell_keys = [None]   # cell id -> keys of its Player successors at b = 0
+    pair_ids = {}        # (label, successor) -> pair id
+    pair_cell = array("q")
+    pair_label = []
+    pair_letter = array("q")     # pair id -> letter id * nb
+
+    def read_cell(c):
+        ps = {}                  # ordered, without repeated pairs
+        for o, q2 in model.transitions.get(cells[c], ()):
+            p = pair_ids.get((o, q2))
+            if p is None:
+                c2 = cell_ids.get(q2)
+                if c2 is None:
+                    cell_ids[q2] = c2 = len(cells)
+                    cells.append(q2)
+                    cell_keys.append(None)
+                pair_ids[o, q2] = p = len(pair_label)
+                pair_cell.append(c2)
+                pair_label.append(o)
+                # a label the automaton does not read gets a letter id
+                # without automaton edges
+                pair_letter.append(
+                    nb * letter_ids.setdefault(o, len(letter_ids)))
+            ps[2 * nb * p + 1] = None
+        cell_keys[c] = out = tuple(ps)
+        return out
+
+    keys = array("q", [2 * rank[nba.initial]])
+    ids = {keys[0]: 0}
     succ = []
     owner = bytearray()
+    accepting = []
     redirected_p = []
     redirected_o = []
-    for i, v in enumerate(names):   # grows while it is read: breadth-first
-        if v[0] == "O":
-            _, q, b = v
-            owner.append(1)
-            outs = [("P", q2, o, b)
-                    for o, q2 in dict.fromkeys(model.transitions.get(q, ()))]
-            if not outs:
-                redirected_o.append(i)
-                outs = [WIN]
-        elif v[0] == "P":
-            _, q2, o, b = v
+    for i, k in enumerate(keys):  # grows while it is read: breadth-first
+        if k < 0:                 # WIN or LOSE
             owner.append(0)
-            outs = [("O", q2, b2) for b2 in b_succ.get((b, o), ())]
-            if not outs:
-                redirected_p.append(i)
-                outs = [LOSE]
-        else:                # WIN or LOSE
-            owner.append(0)
+            if k == -1:
+                accepting.append(i)
             succ.append((i,))
             continue
+        x, b = divmod(k >> 1, nb)
+        if k & 1:
+            owner.append(0)
+            base = 2 * nb * pair_cell[x]
+            outs = [base + b2 for b2 in b_succ.get(pair_letter[x] + b, ())]
+            if not outs:
+                redirected_p.append(i)
+                outs = (-2,)
+        else:
+            owner.append(1)
+            if is_acc[b]:
+                accepting.append(i)
+            ps = cell_keys[x]
+            if ps is None:
+                ps = read_cell(x)
+            shift = 2 * b
+            outs = [p + shift for p in ps]
+            if not outs:
+                redirected_o.append(i)
+                outs = (-1,)
         row = []
         for w in outs:
             j = ids.get(w)
             if j is None:
-                ids[w] = j = len(names)
-                names.append(w)
+                ids[w] = j = len(keys)
+                keys.append(w)
             row.append(j)
         succ.append(tuple(row))
-    accepting = frozenset(
-        i for i, v in enumerate(names)
-        if (v[0] == "O" and v[2] in acc) or v == WIN)
     # keyed by the ints the successor tuples already hold: no second copy
-    return BuchiGame(tuple(names), dict(zip(ids.values(), succ)),
-                     bytes(owner), accepting, 0,
+    return BuchiGame(_Names(keys, cells, pair_cell, pair_label, states),
+                     dict(zip(ids.values(), succ)), bytes(owner),
+                     frozenset(accepting), 0,
                      tuple(redirected_p), tuple(redirected_o))
 
 
@@ -363,8 +441,9 @@ def _vjson(v, names):
 
 
 def game_to_json(g):
-    names = _b_names(g.names)
-    vs = [_vjson(v, names) for v in g.names]
+    vertices = list(g.names)     # each name is made once per export
+    names = _b_names(vertices)
+    vs = [_vjson(v, names) for v in vertices]
     return {
         "initial": vs[g.initial],
         "player_vertices": g.n_player,
@@ -377,13 +456,14 @@ def game_to_json(g):
 
 
 def solve_result_to_json(game, r):
-    names = _b_names(game.names)
+    vertices = list(game.names)  # each name is made once per export
+    names = _b_names(vertices)
     return {
         "verdict": "VERIFIED" if r.winning else "INCONCLUSIVE",
         "w0_size": len(r.w0),
         "w1_size": len(r.w1),
-        "strategy": [{"vertex": _vjson(game.names[v], names),
-                      "move": _vjson(game.names[w], names)}
+        "strategy": [{"vertex": _vjson(vertices[v], names),
+                      "move": _vjson(vertices[w], names)}
                      for v, w in r.strategy0.items()],
         "stats": dict(r.stats),
     }
@@ -394,11 +474,3 @@ def report_to_json(r):
             "sizes": dict(r.sizes), "times": dict(r.times),
             "repeat": r.repeat, "config_hash": r.config_hash,
             "notes": dict(r.notes)}
-
-
-def report_from_json(obj):
-    return Report(schema=obj["schema"], formula=obj["formula"],
-                  verdict=obj["verdict"], sizes=dict(obj["sizes"]),
-                  times=dict(obj["times"]), repeat=obj["repeat"],
-                  config_hash=obj["config_hash"],
-                  notes=dict(obj.get("notes", {})))

@@ -1,13 +1,17 @@
 """Shared generators and independent oracles for the test suite."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
 from fractions import Fraction
 
-from apobs.abstraction import (SINK, _P_E, _P_Z, box_vs_region, gamma,
-                               mode_for_cell, reach_box, region_contains)
+from hypothesis import strategies as st
+
+from apobs.abstraction import (SINK, _P_E, _P_Z, Mode, SystemSpec,
+                               box_vs_region, gamma, mode_for_cell,
+                               reach_box, region_contains, validate_tau)
 from apobs.automata import (Automaton, Q0, _consistent_valuations_bottomup,
                             _reachable, _sccs)
 from apobs.ltl import (Atom, And, FalseF, Not, Or, Release, TrueF, Until,
@@ -650,6 +654,59 @@ def reference_transitions(spec, aps, drop_multi_change):
     return transitions
 
 
+@st.composite
+def _interval(draw, eta):
+    """Domain (lo, hi) of one axis whose edges fall between grid points,
+    so the boundary cells either overhang the domain or stop short of
+    it."""
+    def edge():
+        return (draw(st.integers(1, 4)) + draw(st.floats(0.05, 0.95))) * eta
+    return -edge(), edge()
+
+
+@st.composite
+def _mode(draw, dim):
+    if draw(st.booleans()):
+        speed = st.floats(-1.5, 1.5)
+        return Mode(u=tuple(draw(speed) for _ in range(dim)),
+                    du=tuple(draw(st.floats(0.0, 0.3)) for _ in range(dim)))
+    v = draw(st.floats(0.0, 1.5))
+    return Mode(v=v, ev=draw(st.floats(0.0, min(v, 0.3))),
+                theta=draw(st.floats(-math.pi, math.pi)),
+                etheta=draw(st.floats(0.0, 0.4)))
+
+
+@st.composite
+def random_spec(draw):
+    """A small 1-D or 2-D spec: eta not dividing the domain, a uniform or
+    two-mode table field, random half-space regions, and tau at most
+    validate_tau's tau_max."""
+    dim = draw(st.integers(1, 2))
+    eta = draw(st.sampled_from((0.5, 0.6, 0.7, 0.9, 1.0)))
+    domain = tuple(draw(_interval(eta)) for _ in range(dim))
+    x_in = tuple(draw(st.floats(lo, hi)) for lo, hi in domain)
+    modes = {"default": draw(_mode(dim)), "other": draw(_mode(dim))}
+    field = "default"
+    if draw(st.booleans()):
+        probe = SystemSpec(dim, domain, eta, 1.0, x_in, modes, "default", {})
+        field = {"kind": "table", "default": "default",
+                 "cells": {c: "other" for c in probe.cells()
+                           if draw(st.booleans())}}
+
+    def half_space():
+        a = draw(st.integers(0, dim - 1))
+        lo, hi = domain[a]
+        return (a, draw(st.sampled_from(("le", "ge"))),
+                round(draw(st.floats(lo, hi)), 3))
+    aps = {f"p{i}": tuple(tuple(half_space()
+                                for _ in range(draw(st.integers(1, 2))))
+                          for _ in range(draw(st.integers(1, 2))))
+           for i in range(draw(st.integers(1, 3)))}
+    spec = SystemSpec(dim, domain, eta, 1.0, x_in, modes, field, aps)
+    tau = draw(st.floats(0.1, 1.5))
+    return dataclasses.replace(spec, tau=min(tau, validate_tau(spec).tau_max))
+
+
 def sampled_trajectory(spec, horizon, seed, tracked_aps=None):
     """Reference chopper for ``simulate_trajectory``: the same trajectory
     (same random draws, same step end points), but each AP is read only
@@ -730,6 +787,64 @@ def rand_nba(rng, letters, max_states=3):
     aps = tuple(sorted({p for o in letters for p, _ in o}))
     return Automaton(aps, frozenset(states), frozenset(edges), states[0],
                      (accepting,))
+
+
+# ---------------------------------------------------------------------------
+# Reference product explorer (reference for build_game)
+
+def build_game_reference(model, nba):
+    """``build_game`` on vertex tuples: every vertex is found through a
+    dict keyed by its tuple ("O", q, b) or ("P", q, o, b), and ``names``
+    is a plain tuple."""
+    from apobs.game import LOSE, WIN, BuchiGame
+    (acc,) = nba.accepting
+    rank = {b: i for i, b in enumerate(sorted(nba.states, key=repr))}
+    b_succ = {}
+    for b, o, b2 in nba.edges:
+        b_succ.setdefault((b, o), []).append(b2)
+    for outs in b_succ.values():
+        outs.sort(key=rank.__getitem__)
+
+    names = [("O", model.q_in, nba.initial)]
+    ids = {names[0]: 0}
+    succ = []
+    owner = bytearray()
+    redirected_p = []
+    redirected_o = []
+    for i, v in enumerate(names):   # grows while it is read: breadth-first
+        if v[0] == "O":
+            _, q, b = v
+            owner.append(1)
+            outs = [("P", q2, o, b)
+                    for o, q2 in dict.fromkeys(model.transitions.get(q, ()))]
+            if not outs:
+                redirected_o.append(i)
+                outs = [WIN]
+        elif v[0] == "P":
+            _, q2, o, b = v
+            owner.append(0)
+            outs = [("O", q2, b2) for b2 in b_succ.get((b, o), ())]
+            if not outs:
+                redirected_p.append(i)
+                outs = [LOSE]
+        else:                # WIN or LOSE
+            owner.append(0)
+            succ.append((i,))
+            continue
+        row = []
+        for w in outs:
+            j = ids.get(w)
+            if j is None:
+                ids[w] = j = len(names)
+                names.append(w)
+            row.append(j)
+        succ.append(tuple(row))
+    accepting = frozenset(
+        i for i, v in enumerate(names)
+        if (v[0] == "O" and v[2] in acc) or v == WIN)
+    return BuchiGame(tuple(names), dict(zip(ids.values(), succ)),
+                     bytes(owner), accepting, 0,
+                     tuple(redirected_p), tuple(redirected_o))
 
 
 # ---------------------------------------------------------------------------

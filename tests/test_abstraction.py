@@ -1,5 +1,4 @@
 """Grid quantization, cell classification, reachability, and simulation."""
-import dataclasses
 import json
 import math
 import os
@@ -24,7 +23,7 @@ from apobs.abstraction import (Mode, OutOfDomainError, SINK, SymbolicModel,
 from apobs.game import verify
 from apobs.observations import ChoppingError, UndefinedSlice
 from apobs.scenarios import drone_spec
-from conftest import (drone_model, reference_transitions, rho,
+from conftest import (drone_model, random_spec, reference_transitions, rho,
                       sampled_trajectory)
 
 
@@ -402,63 +401,10 @@ class TestKnownDefects:
         assert report.verdict == "INCONCLUSIVE"
 
 
-@st.composite
-def _interval(draw, eta):
-    """Domain (lo, hi) of one axis whose edges fall between grid points,
-    so the boundary cells either overhang the domain or stop short of
-    it."""
-    def edge():
-        return (draw(st.integers(1, 4)) + draw(st.floats(0.05, 0.95))) * eta
-    return -edge(), edge()
-
-
-@st.composite
-def _mode(draw, dim):
-    if draw(st.booleans()):
-        speed = st.floats(-1.5, 1.5)
-        return Mode(u=tuple(draw(speed) for _ in range(dim)),
-                    du=tuple(draw(st.floats(0.0, 0.3)) for _ in range(dim)))
-    v = draw(st.floats(0.0, 1.5))
-    return Mode(v=v, ev=draw(st.floats(0.0, min(v, 0.3))),
-                theta=draw(st.floats(-math.pi, math.pi)),
-                etheta=draw(st.floats(0.0, 0.4)))
-
-
-@st.composite
-def _random_spec(draw):
-    """A small 1-D or 2-D spec: eta not dividing the domain, a uniform or
-    two-mode table field, random half-space regions, and tau at most
-    validate_tau's tau_max."""
-    dim = draw(st.integers(1, 2))
-    eta = draw(st.sampled_from((0.5, 0.6, 0.7, 0.9, 1.0)))
-    domain = tuple(draw(_interval(eta)) for _ in range(dim))
-    x_in = tuple(draw(st.floats(lo, hi)) for lo, hi in domain)
-    modes = {"default": draw(_mode(dim)), "other": draw(_mode(dim))}
-    field = "default"
-    if draw(st.booleans()):
-        probe = SystemSpec(dim, domain, eta, 1.0, x_in, modes, "default", {})
-        field = {"kind": "table", "default": "default",
-                 "cells": {c: "other" for c in probe.cells()
-                           if draw(st.booleans())}}
-
-    def half_space():
-        a = draw(st.integers(0, dim - 1))
-        lo, hi = domain[a]
-        return (a, draw(st.sampled_from(("le", "ge"))),
-                round(draw(st.floats(lo, hi)), 3))
-    aps = {f"p{i}": tuple(tuple(half_space()
-                                for _ in range(draw(st.integers(1, 2))))
-                          for _ in range(draw(st.integers(1, 2))))
-           for i in range(draw(st.integers(1, 3)))}
-    spec = SystemSpec(dim, domain, eta, 1.0, x_in, modes, field, aps)
-    tau = draw(st.floats(0.1, 1.5))
-    return dataclasses.replace(spec, tau=min(tau, validate_tau(spec).tau_max))
-
-
 class TestRandomSpecs:
     @settings(derandomize=True, database=None, max_examples=300,
               deadline=None)
-    @given(spec=_random_spec(), drop=st.booleans())
+    @given(spec=random_spec(), drop=st.booleans())
     def test_model_equals_reference(self, spec, drop):
         aps = tuple(sorted(spec.ap_regions))
         model = build_symbolic_model(spec, drop_multi_change=drop)
@@ -468,7 +414,7 @@ class TestRandomSpecs:
 
     @settings(derandomize=True, database=None, max_examples=300,
               deadline=None)
-    @given(spec=_random_spec())
+    @given(spec=random_spec())
     def test_simulated_runs_are_model_runs(self, spec):
         # Theorem 1: every trajectory's (cell, observation) word is a run
         model = build_symbolic_model(spec)
@@ -488,7 +434,7 @@ class TestRandomSpecs:
 
     @settings(derandomize=True, database=None, max_examples=200,
               deadline=None)
-    @given(spec=_random_spec())
+    @given(spec=random_spec())
     def test_exact_chopping_refines_the_sampler(self, spec):
         compared = 0
         for seed in range(3):

@@ -110,6 +110,14 @@ class TestMalformedSpec:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and field in err
 
+    @pytest.mark.parametrize("option", ["--eta", "--tau"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_step(self, spec_file, capsys, option, value):
+        assert main(["verify", "--system", spec_file, "--formula", "G r",
+                     option, value, "--repeat", "1"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: eta and tau must be positive and finite\n"
+
     def test_not_an_object(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2]")

@@ -2,25 +2,27 @@
 import hashlib
 import json
 import random
+from collections.abc import Sequence
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import apobs.abstraction as abstraction_module
 import apobs.game as game_module
 from apobs.abstraction import (SymbolicModel, SystemSpec, Mode,
                                system_spec_to_json)
-from apobs.automata import Automaton
+from apobs.automata import Automaton, translate
 from apobs.cli import BENCH_FORMULAS
-from apobs.game import (LOSE, WIN, BuchiGame, PipelineError, _config_hash,
-                        build_game, game_to_json, report_from_json,
+from apobs.game import (LOSE, WIN, BuchiGame, PipelineError, Report,
+                        _config_hash, build_game, game_to_json,
                         report_to_json, solve_buchi, solve_result_to_json,
                         verify)
 from apobs.ltl import atoms, parse_ltl, to_nnf
 from apobs.scenarios import drone_spec
-from conftest import (brute_force_w0, check_strategy, drone_model,
-                      rand_buchi_game, rand_model, rand_nba,
-                      winning_region_fixpoint)
+from conftest import (brute_force_w0, build_game_reference, check_strategy,
+                      drone_model, rand_buchi_game, rand_model, rand_nba,
+                      rand_nnf, random_spec, winning_region_fixpoint)
 
 
 def _letters(*obs):
@@ -127,6 +129,92 @@ class TestBuildGame:
                 wins += 1
                 assert r2.winning
         assert wins > 0
+
+
+def _assert_same_game(model, nba):
+    """build_game equals the tuple-keyed reference explorer, field by
+    field and in the same order."""
+    game = build_game(model, nba)
+    ref = build_game_reference(model, nba)
+    assert tuple(game.names) == ref.names
+    assert list(game.edges.items()) == list(ref.edges.items())
+    assert game.owner == ref.owner
+    assert game.accepting == ref.accepting
+    assert game.initial == ref.initial
+    assert game.redirected_player == ref.redirected_player
+    assert game.redirected_opponent == ref.redirected_opponent
+    return game
+
+
+class TestBuildGameReference:
+    """build_game explores the product on int keys; the reference in
+    conftest explores it on vertex tuples."""
+
+    @pytest.mark.parametrize("formula", BENCH_FORMULAS)
+    def test_bench_formulas_on_the_drone(self, formula):
+        nnf = to_nnf(parse_ltl(formula))
+        _assert_same_game(drone_model(atoms(nnf)), translate(nnf)["nba"])
+
+    def test_stuck_cell(self):
+        # cell (1,) has no transitions: its Opponent vertex goes to WIN;
+        # the automaton reads no Z, so the Player vertex on Z goes to LOSE
+        a, z = _letters("A", "Z")
+        q0, q1, q2 = (0,), (1,), (2,)
+        model = SymbolicModel(("p",), (q0, q1, q2), q0,
+                              {q0: ((a, q1), (a, q2)), q1: (),
+                               q2: ((z, q2), (a, q0))}, False)
+        nba = Automaton(("p",), frozenset({"b0", "b1"}),
+                        frozenset({("b0", a, "b1"), ("b1", a, "b0"),
+                                   ("b1", a, "b1")}),
+                        "b0", (frozenset({"b1"}),))
+        game = _assert_same_game(model, nba)
+        assert {game.names[v] for v in game.redirected_opponent} == \
+            {("O", q1, "b0"), ("O", q1, "b1")}
+        assert {game.names[v] for v in game.redirected_player} == \
+            {("P", q2, z, "b0"), ("P", q2, z, "b1")}
+
+    def test_repeated_pair(self):
+        # (a, q1) is listed twice by q0 and reached again from q1: one
+        # Player vertex per automaton state
+        a, z = _letters("A", "Z")
+        q0, q1 = (0,), (1,)
+        model = SymbolicModel(("p",), (q0, q1), q0,
+                              {q0: ((a, q1), (z, q0), (a, q1)),
+                               q1: ((a, q1), (z, q0))}, False)
+        nba = Automaton(("p",), frozenset({"b0", "b1"}),
+                        frozenset({("b0", a, "b0"), ("b0", a, "b1"),
+                                   ("b1", z, "b0"), ("b1", a, "b1"),
+                                   ("b0", z, "b1")}),
+                        "b0", (frozenset({"b1"}),))
+        game = _assert_same_game(model, nba)
+        assert game.edges[0] == (1, 2)
+        assert game.n_player == 4 and game.n_opponent == 4
+
+    @settings(derandomize=True, database=None, max_examples=100,
+              deadline=None)
+    @given(spec=random_spec(), seed=st.integers(0, 2**32))
+    def test_random_specs(self, spec, seed):
+        nnf = rand_nnf(random.Random(seed), 3, sorted(spec.ap_regions))
+        model = abstraction_module.build_symbolic_model(
+            spec, tracked_aps=atoms(nnf))
+        _assert_same_game(model, translate(nnf)["nba"])
+
+    def test_names_sequence(self):
+        nnf = to_nnf(parse_ltl("G r & F (g & F p)"))
+        model, nba = drone_model(atoms(nnf)), translate(nnf)["nba"]
+        names = build_game(model, nba).names
+        ref = build_game_reference(model, nba).names
+        assert isinstance(names, Sequence)
+        assert len(names) == len(ref)
+        assert list(names) == list(ref)
+        assert names[-1] == ref[-1] and names[-len(ref)] == ref[0]
+        assert ref[5] in names
+        assert (WIN in names, LOSE in names) == (WIN in ref, LOSE in ref)
+        assert ("O", (99, 99), ref[0][2]) not in names
+        with pytest.raises(IndexError):
+            names[len(ref)]
+        with pytest.raises(TypeError):
+            names[0] = ref[0]
 
 
 class TestSolveBuchi:
@@ -318,7 +406,8 @@ class TestVerify:
 class TestSerialization:
     def test_report_roundtrip(self):
         report, _ = verify(_spec_1d(), "G p")
-        assert report_from_json(report_to_json(report)) == report
+        # the JSON carries every field of the report
+        assert Report(**report_to_json(report)) == report
 
     def test_game_json(self):
         _, art = verify(_spec_1d(), "G p")
