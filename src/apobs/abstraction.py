@@ -386,41 +386,96 @@ def validate_tau(spec):
 
 
 class _Transitions(Mapping):
-    """Read-only map from a model state to its transitions.  A state's
-    transitions are computed by ``outgoing(state)`` on first access and
-    kept; iterating the values computes them all."""
+    """Read-only map from a model state to its transitions, stored once as
+    integer rows and decoded when read; nothing decoded is kept.
 
-    def __init__(self, states, outgoing):
-        self._keys = dict.fromkeys(states)
-        self._outgoing = outgoing
-        self._done = {}
+    State id i names ``state(i)``: the model's ``states`` in order, then
+    any other state (the sink, a successor outside ``states``).  Label id
+    l names ``labels[l]``.  A transition (o, q2) is the pair int
+    ``labels.index(o) * n_ids + state_id(q2)``, and ``row(i)`` is the tuple
+    of state i's pair ints in transition order.  A model from
+    ``build_symbolic_model`` computes a row, and any label it brings, the
+    first time the row is read."""
+
+    def __init__(self, ids, keys, index, outgoing, labels):
+        self._ids = ids              # state id -> state
+        self._keys = keys            # ids of the mapped states, in order
+        self.state_id = index        # state -> state id, or None
+        self._outgoing = outgoing    # state id -> row, called once per id
+        self._rows = [None] * len(ids)
+        self.labels = labels         # label id -> label
+        self.n_ids = len(ids)
+
+    def state(self, i):
+        return self._ids[i]
+
+    def row(self, i):
+        r = self._rows[i]
+        if r is None:
+            r = self._rows[i] = self._outgoing(i)
+        return r
 
     def __getitem__(self, q):
-        outs = self._done.get(q)
-        if outs is None:
-            if q not in self._keys:
-                raise KeyError(q)
-            outs = self._done[q] = self._outgoing(q)
-        return outs
-
-    def __contains__(self, q):
-        return q in self._keys
+        i = self.state_id(q)
+        if i is None or i not in self._keys:
+            raise KeyError(q)
+        labels, ids, n = self.labels, self._ids, self.n_ids
+        return tuple((labels[p // n], ids[p % n]) for p in self.row(i))
 
     def __iter__(self):
-        return iter(self._keys)
+        return map(self._ids.__getitem__, self._keys)
 
     def __len__(self):
         return len(self._keys)
+
+
+def _label_table():
+    """An empty label table: the list of labels by id, and the function
+    that gives a label's id, adding the label if it is new."""
+    labels, ids = [], {}
+
+    def label_id(o):
+        if o not in ids:
+            ids[o] = len(labels)
+            labels.append(o)
+        return ids[o]
+    return labels, label_id
+
+
+def _encode(states, q_in, transitions):
+    """The ``_Transitions`` of a model given as a dict state -> tuple of
+    (label, successor): states outside ``states`` get ids in the order
+    first met among the keys, the successors and ``q_in``."""
+    ids = list(dict.fromkeys(itertools.chain(
+        states, transitions,
+        (q2 for outs in transitions.values() for _, q2 in outs), (q_in,))))
+    index = {q: i for i, q in enumerate(ids)}
+    labels, label_id = _label_table()
+    rows = [()] * len(ids)
+    for q, outs in transitions.items():
+        rows[index[q]] = tuple(len(ids) * label_id(o) + index[q2]
+                               for o, q2 in outs)
+    return _Transitions(ids, dict.fromkeys(index[q] for q in transitions),
+                        index.get, rows.__getitem__, labels)
 
 
 @dataclass(frozen=True)
 class SymbolicModel:
     """A finite symbolic model.  ``transitions`` maps every state, the
     cells in grid order and then the sink if there is one, to a tuple of
-    (label, successor).  In a model from ``build_symbolic_model`` a
-    state's transitions are computed when first read; iterating the map
-    (``items()``, ``values()``, ``edges()``, ``==``) computes all of them,
-    so every reader sees the full model."""
+    (label, successor).
+
+    The transitions are stored once, as integer rows (see
+    ``_Transitions``): a state's id is its position in ``states``, so a
+    cell's row-major index, and the sink gets the next id; a label's id
+    comes from the model's label table.  ``transitions.row(i)`` is state
+    i's tuple of pair ints ``label_id * n_ids + successor id``, and
+    ``transitions.state(i)`` and ``transitions.labels[l]`` name the ids.
+    A model given a dict (``symbolic_model_from_json``, a hand-made
+    model) is encoded into the same rows.  In a model from
+    ``build_symbolic_model`` a state's row is computed when first read;
+    iterating the map (``items()``, ``values()``, ``edges()``, ``==``)
+    computes all of them, so every reader sees the full model."""
     aps: tuple
     states: tuple             # grid cells; the sink (if any) is extra
     q_in: tuple
@@ -428,6 +483,11 @@ class SymbolicModel:
     has_sink: bool
     eta: float = None
     tau: float = None
+
+    def __post_init__(self):
+        if not isinstance(self.transitions, _Transitions):
+            object.__setattr__(self, "transitions", _encode(
+                self.states, self.q_in, self.transitions))
 
     @property
     def n_states(self):
@@ -469,13 +529,14 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
 
     A transition's labels depend only on the signatures of its two ends,
     the classification of every tracked AP on the cell (all '?' on the
-    sink).  They are computed once per pair of signatures, and the
-    transitions with that pair share the same label tuples.
+    sink), numbered by a small int.  Their label ids are computed once per
+    pair of signatures, and a row is made from them and the successors'
+    ids, which are cell-index arithmetic: no tuple per transition.
 
-    Up front only the tau check and the sink check run.  A cell's
-    transitions (and its signature) are computed the first time they are
-    read, so a game explored from ``q_in`` builds only the cells it
-    reaches; iterating ``transitions`` computes the rest.
+    Up front only the tau check and the sink check run.  A cell's row
+    (and its signature) is computed the first time it is read, so a game
+    explored from ``q_in`` builds only the cells it reaches; iterating
+    ``transitions`` computes the rest.
     """
     aps = tuple(sorted(tracked_aps if tracked_aps is not None else
                        spec.ap_regions.keys()))
@@ -491,33 +552,41 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
             f"(v_max={tv.v_max}); pass force=True to override")
 
     cells = spec.cells()
+    sink = len(cells)            # the sink's id, if there is a sink
     regions = [spec.ap_regions[p] for p in aps]
-    sink_sig = ("?",) * len(aps)
-    sigs = {}
-    labels = {}
+    n_sigs = 3 ** len(aps)
+    sig_ids = {("?",) * len(aps): 0}  # signature -> small int; sink's is 0
+    sigs = [None] * sink
+    labels = {}                  # s * n_sigs + s2 -> label ids * n_ids
+    label_table, label_id = _label_table()
 
-    def signature(q):
-        s = sigs.get(q)
+    def signature(i):
+        s = sigs[i]
         if s is None:
-            box = spec.cell_box(q)
-            s = sigs[q] = tuple(box_vs_region(r, box) for r in regions)
+            box = spec.cell_box(cells[i])
+            s = sigs[i] = sig_ids.setdefault(
+                tuple(box_vs_region(r, box) for r in regions), len(sig_ids))
         return s
 
-    def labels_for(s, s2):
-        out = labels.get((s, s2))
+    def labels_for(key):
+        out = labels.get(key)
         if out is None:
-            out = labels[s, s2] = _labels_for(s, s2, aps, drop_multi_change)
+            s, s2 = divmod(key, n_sigs)
+            chars = list(sig_ids)
+            out = labels[key] = tuple(
+                len(ids) * label_id(o) for o in _labels_for(
+                    chars[s], chars[s2], aps, drop_multi_change))
         return out
 
     h = spec.eta / 2
     slack = 1e-9 * spec.eta
     axes = list(zip(spec.grid_ranges, spec.domain))
 
-    def outgoing(q):
-        if q == SINK:
-            return tuple((o, SINK) for o in labels_for(sink_sig, sink_sig))
-        box, exits = reach_box(spec, q)
-        succ_ranges = []
+    def outgoing(i):
+        if i == sink:
+            return tuple(lid + sink for lid in labels_for(0))
+        box, exits = reach_box(spec, cells[i])
+        succ = [0]
         for (blo, bhi), ((kmin, kmax), (dlo, dhi)) in zip(box, axes):
             lo_k = math.ceil((blo - h) / spec.eta - 1e-9)
             hi_k = math.floor((bhi + h) / spec.eta + 1e-9)
@@ -526,20 +595,37 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
                 lo_k = min(lo_k, kmax)
             if bhi >= dlo - slack:
                 hi_k = max(hi_k, kmin)
-            succ_ranges.append(range(max(lo_k, kmin), min(hi_k, kmax) + 1))
-        s = signature(q)
-        outs = []
-        for q2 in itertools.product(*succ_ranges):
-            outs.extend([(o, q2) for o in labels_for(s, signature(q2))])
+            # row-major ids, one axis at a time (Horner's scheme)
+            succ = [j * (kmax - kmin + 1) + k - kmin for j in succ
+                    for k in range(max(lo_k, kmin), min(hi_k, kmax) + 1)]
+        s = n_sigs * signature(i)
+        row = []
+        for j in succ:
+            row.extend([lid + j for lid in labels_for(s + signature(j))])
         if exits:
-            outs.extend([(o, SINK) for o in labels_for(s, sink_sig)])
-        return tuple(outs)
+            row.extend([lid + sink for lid in labels_for(s)])
+        return tuple(row)
+
+    def state_id(q):
+        """The row-major index of a cell, the sink's id, or None."""
+        if q == SINK:
+            return sink if has_sink else None
+        i = 0
+        try:
+            for k, ((kmin, kmax), _) in zip(q, axes):
+                i = i * (kmax - kmin + 1) + k - kmin
+            return i if 0 <= i < sink and cells[i] == q else None
+        except TypeError:
+            return None
 
     has_sink = any(reach_box(spec, q)[1] for q in cells)
-    states = cells + [SINK] if has_sink else cells
+    ids = cells + [SINK] if has_sink else cells
+    # the closures hold no reference to the map: a model is freed as soon
+    # as it is dropped, without waiting for the cycle collector
     return SymbolicModel(aps, tuple(cells), gamma(spec.x_in, spec),
-                         _Transitions(states, outgoing), has_sink,
-                         spec.eta, spec.tau)
+                         _Transitions(ids, range(len(ids)), state_id,
+                                      outgoing, label_table),
+                         has_sink, spec.eta, spec.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -736,11 +822,12 @@ def _state_from_str(s):
 
 
 def symbolic_model_to_json(m):
-    edges = []
-    for q, o, q2 in m.edges():
-        edges.append({"src": _state_str(q), "label": dict(o),
-                      "dst": _state_str(q2)})
-    edges.sort(key=lambda e: (e["src"], e["dst"], sorted(e["label"].items())))
+    """JSON form of a model.  The edges are listed in the model's order
+    (state by state, each state's transitions in order), so
+    ``symbolic_model_from_json`` gives back an equal model that builds
+    the same game."""
+    edges = [{"src": _state_str(q), "label": dict(o), "dst": _state_str(q2)}
+             for q, o, q2 in m.edges()]
     return {
         "aps": list(m.aps),
         "states": [_state_str(q) for q in m.states],

@@ -222,8 +222,28 @@ def cmd_bench(args):
     return EXIT_VERIFIED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ValueError, which ``main`` prints as one
+    ``error: ...`` line with exit code 1: argparse's own exit code 2 is
+    EXIT_INCONCLUSIVE."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _repeat(text):
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return n
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="apobs",
         description="Verify continuous-time systems against continuous-time "
                     "LTL via AP-observation automata and Büchi games.")
@@ -234,7 +254,7 @@ def build_parser():
     pv.add_argument("--formula", required=True, help="LTL formula text")
     pv.add_argument("--eta", type=float, default=None)
     pv.add_argument("--tau", type=float, default=None)
-    pv.add_argument("--repeat", type=int, default=1,
+    pv.add_argument("--repeat", type=_repeat, default=1,
                     help="timing repetitions (default 1)")
     pv.add_argument("--out", help="write the report JSON here")
     pv.add_argument("--export-automaton", help="write the automaton as DOT")
@@ -256,7 +276,7 @@ def build_parser():
     pb = sub.add_parser("bench", help="run the benchmark formula table")
     pb.add_argument("--system", help="system spec JSON (default: drone)")
     pb.add_argument("--formulas", help="file with one formula per line")
-    pb.add_argument("--repeat", type=int, default=1)
+    pb.add_argument("--repeat", type=_repeat, default=1)
     pb.add_argument("--r-mode", choices=["or", "and"], default="or",
                     dest="r_mode")
     pb.add_argument("--csv", help="also write the rows as CSV")
@@ -265,8 +285,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (_game.PipelineError, _ltl.UnsupportedOperatorError,
             _ltl.LtlSyntaxError, _abs.TauValidationError,

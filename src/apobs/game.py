@@ -51,15 +51,14 @@ class _Names(Sequence):
     tuple is made from its int key ``keys[i]`` when it is read.
 
     With nb automaton states, ranked by ``repr`` into ``states``, an
-    Opponent vertex (cells[c], states[b]) has key 2 * (c * nb + b) and a
-    Player vertex (cells[pair_cell[p]], pair_label[p], states[b]) has key
-    2 * (p * nb + b) + 1; the sinks WIN and LOSE have keys -1 and -2."""
+    Opponent vertex on model state id s has key 2 * (s * nb + b) and a
+    Player vertex on model pair int p has key 2 * (p * nb + b) + 1; the
+    sinks WIN and LOSE have keys -1 and -2.  States and labels are
+    decoded through the model's ``transitions``."""
 
-    def __init__(self, keys, cells, pair_cell, pair_label, states):
+    def __init__(self, keys, transitions, states):
         self._keys = keys
-        self._cells = cells
-        self._pair_cell = pair_cell
-        self._pair_label = pair_label
+        self._transitions = transitions
         self._states = states
 
     def __len__(self):
@@ -70,10 +69,11 @@ class _Names(Sequence):
         if k < 0:
             return WIN if k == -1 else LOSE
         x, b = divmod(k >> 1, len(self._states))
+        t = self._transitions
         if k & 1:
-            return ("P", self._cells[self._pair_cell[x]],
-                    self._pair_label[x], self._states[b])
-        return ("O", self._cells[x], self._states[b])
+            lid, s = divmod(x, t.n_ids)
+            return ("P", t.state(s), t.labels[lid], self._states[b])
+        return ("O", t.state(x), self._states[b])
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,10 @@ def build_game(model, nba):
     automaton must have exactly one accepting set.
 
     The product is explored on ints (see ``_Names`` for the vertex
-    keys): a cell's transitions are read and numbered when its first
-    Opponent vertex is expanded, and a label is hashed once per
-    transition read, not once per game edge."""
+    keys): an Opponent vertex is keyed by the model's state id, a Player
+    vertex by the model's pair int (label id and successor id), and a
+    state's row is read once, when its first Opponent vertex is
+    expanded.  No vertex tuple is made while exploring."""
     if tuple(sorted(model.aps)) != tuple(sorted(nba.aps)):
         raise ValueError(
             f"alphabet mismatch: model tracks {model.aps}, "
@@ -134,36 +135,15 @@ def build_game(model, nba):
         outs.sort()
     is_acc = bytes(b in acc for b in states)
 
-    cells = [model.q_in]
-    cell_ids = {model.q_in: 0}
-    cell_keys = [None]   # cell id -> keys of its Player successors at b = 0
-    pair_ids = {}        # (label, successor) -> pair id
-    pair_cell = array("q")
-    pair_label = []
-    pair_letter = array("q")     # pair id -> letter id * nb
+    trans = model.transitions
+    n_ids = trans.n_ids
+    labels = trans.labels
+    label_letter = []    # model label id -> letter id * nb
+    pairs = [None] * n_ids       # state id -> its pair ints, each once
+    m = 2 * nb
 
-    def read_cell(c):
-        ps = {}                  # ordered, without repeated pairs
-        for o, q2 in model.transitions.get(cells[c], ()):
-            p = pair_ids.get((o, q2))
-            if p is None:
-                c2 = cell_ids.get(q2)
-                if c2 is None:
-                    cell_ids[q2] = c2 = len(cells)
-                    cells.append(q2)
-                    cell_keys.append(None)
-                pair_ids[o, q2] = p = len(pair_label)
-                pair_cell.append(c2)
-                pair_label.append(o)
-                # a label the automaton does not read gets a letter id
-                # without automaton edges
-                pair_letter.append(
-                    nb * letter_ids.setdefault(o, len(letter_ids)))
-            ps[2 * nb * p + 1] = None
-        cell_keys[c] = out = tuple(ps)
-        return out
-
-    keys = array("q", [2 * rank[nba.initial]])
+    keys = array("q", [2 * (trans.state_id(model.q_in) * nb
+                            + rank[nba.initial])])
     ids = {keys[0]: 0}
     succ = []
     owner = bytearray()
@@ -180,8 +160,10 @@ def build_game(model, nba):
         x, b = divmod(k >> 1, nb)
         if k & 1:
             owner.append(0)
-            base = 2 * nb * pair_cell[x]
-            outs = [base + b2 for b2 in b_succ.get(pair_letter[x] + b, ())]
+            lid, s2 = divmod(x, n_ids)
+            base = m * s2
+            outs = [base + b2
+                    for b2 in b_succ.get(label_letter[lid] + b, ())]
             if not outs:
                 redirected_p.append(i)
                 outs = (-2,)
@@ -189,11 +171,17 @@ def build_game(model, nba):
             owner.append(1)
             if is_acc[b]:
                 accepting.append(i)
-            ps = cell_keys[x]
+            ps = pairs[x]
             if ps is None:
-                ps = read_cell(x)
-            shift = 2 * b
-            outs = [p + shift for p in ps]
+                # ordered, without repeated pairs
+                ps = pairs[x] = tuple(dict.fromkeys(trans.row(x)))
+                # a label the automaton does not read gets a letter id
+                # without automaton edges
+                for o in labels[len(label_letter):]:
+                    label_letter.append(
+                        nb * letter_ids.setdefault(o, len(letter_ids)))
+            shift = 2 * b + 1
+            outs = [m * p + shift for p in ps]
             if not outs:
                 redirected_o.append(i)
                 outs = (-1,)
@@ -206,7 +194,7 @@ def build_game(model, nba):
             row.append(j)
         succ.append(tuple(row))
     # keyed by the ints the successor tuples already hold: no second copy
-    return BuchiGame(_Names(keys, cells, pair_cell, pair_label, states),
+    return BuchiGame(_Names(keys, trans, states),
                      dict(zip(ids.values(), succ)), bytes(owner),
                      frozenset(accepting), 0,
                      tuple(redirected_p), tuple(redirected_o))
@@ -222,17 +210,17 @@ class SolveResult:
     stats: dict
 
 
-def _attractor(target, player, live, succ, pred, owner):
+def _attractor(target, player, live, succ, pred, owner, strategy, all_live):
     """Attractor of ``target`` for ``player`` inside the ``live`` vertices.
-    Returns (membership bytearray, members in the order attracted,
-    strategy for the player's attractor vertices).  An adversary vertex's
-    count of live successors still outside the attractor is set up the
-    first time one of them joins."""
+    Returns (membership bytearray, members in the order attracted) and
+    writes the successor chosen by each of the player's attractor
+    vertices into ``strategy``.  An adversary vertex's count of live
+    successors still outside the attractor is set up the first time one
+    of them joins; while ``all_live`` it is the vertex's out-degree."""
     attr = bytearray(len(succ))
     for t in target:
         attr[t] = 1
     order = list(target)
-    strategy = {}
     remaining = {}
     for w in order:          # grows while it is read
         for v in pred[w]:
@@ -243,13 +231,14 @@ def _attractor(target, player, live, succ, pred, owner):
             else:
                 left = remaining.get(v)
                 if left is None:
-                    left = sum(live[u] for u in succ[v])
+                    left = len(succ[v]) if all_live else \
+                        sum(live[u] for u in succ[v])
                 remaining[v] = left = left - 1
                 if left:
                     continue
             attr[v] = 1
             order.append(v)
-    return attr, order, strategy
+    return attr, order
 
 
 def solve_buchi(game):
@@ -258,9 +247,10 @@ def solve_buchi(game):
     both sides.
 
     Reads the game's ids directly and builds only the predecessor lists;
-    the shrinking universe is a bytearray, and each strategy is listed in
-    id order.  So for a game from ``build_game`` the result, strategies
-    included, does not depend on the hash seed."""
+    the shrinking universe is a bytearray, and each strategy is a list
+    indexed by id, listed as a dict in id order.  So for a game from
+    ``build_game`` the result, strategies included, does not depend on
+    the hash seed."""
     succ = game.edges
     owner = game.owner
     n = len(owner)
@@ -273,16 +263,16 @@ def solve_buchi(game):
     live = bytearray(b"\x01") * n
     n_live = n
     w1 = []
-    strategy0 = {}
-    strategy1 = {}
+    strategy1 = [-1] * n
     iterations = 0
     while n_live:
         iterations += 1
         f = [v for v in accepting if live[v]]
-        reach, reached, s_reach = _attractor(f, 0, live, succ, pred, owner)
+        strategy0 = [-1] * n
+        reach, reached = _attractor(f, 0, live, succ, pred, owner,
+                                    strategy0, n_live == n)
         if len(reached) == n_live:
             # W0 found: Player attracts to F inside it; on F, re-enter it
-            strategy0 = s_reach
             for v in f:
                 if owner[v] == 0:
                     for w in succ[v]:
@@ -291,19 +281,21 @@ def solve_buchi(game):
                             break
             break
         dead = [v for v in range(n) if live[v] and not reach[v]]
-        _, trapped, s_trap = _attractor(dead, 1, live, succ, pred, owner)
+        _, trapped = _attractor(dead, 1, live, succ, pred, owner, strategy1,
+                                n_live == n)
         for v in dead:
-            if owner[v] == 1 and v not in s_trap:
+            if owner[v] == 1 and strategy1[v] < 0:
                 # stay inside the F-unreachable region
                 for w in succ[v]:
                     if live[w] and not reach[w]:
-                        s_trap[v] = w
+                        strategy1[v] = w
                         break
-        strategy1.update(s_trap)
         for v in trapped:
             live[v] = 0
         w1 += trapped
         n_live -= len(trapped)
+    else:
+        strategy0 = ()           # W0 is empty
 
     stats = {"iterations": iterations,
              "vertices": n,
@@ -313,8 +305,8 @@ def solve_buchi(game):
              "redirected_opponent": len(game.redirected_opponent)}
     return SolveResult(frozenset(v for v in range(n) if live[v]),
                        frozenset(w1),
-                       dict(sorted(strategy0.items())),
-                       dict(sorted(strategy1.items())),
+                       {v: w for v, w in enumerate(strategy0) if w >= 0},
+                       {v: w for v, w in enumerate(strategy1) if w >= 0},
                        bool(live[game.initial]), stats)
 
 

@@ -278,6 +278,15 @@ class TestSerialization:
         for q in model.transitions:
             assert set(back.transitions[q]) == set(model.transitions[q])
 
+    def test_symbolic_model_roundtrip_is_exact(self):
+        # the edges are written in the model's order, so the model read
+        # back has the same transitions in the same order
+        model = drone_model(("g", "p", "r"))
+        back = symbolic_model_from_json(symbolic_model_to_json(model))
+        assert list(back.transitions.items()) == \
+            list(model.transitions.items())
+        assert back == model
+
 
 class TestLazyModel:
     """Transitions are computed on first access; every way of reading the
@@ -311,6 +320,24 @@ class TestLazyModel:
             fresh = build_symbolic_model(spec, drop_multi_change=drop)
             assert json.dumps(symbolic_model_to_json(model)) == \
                 json.dumps(symbolic_model_to_json(fresh))
+
+    def test_rows_are_pair_ints(self):
+        # state id = position in states (row-major), the sink next; a
+        # transition (o, q2) is label id * n_ids + state_id(q2)
+        model = build_symbolic_model(self._spec())
+        t = model.transitions
+        assert t.n_ids == len(model.states) + 1
+        assert [t.state_id(q) for q in model.states] == \
+            list(range(len(model.states)))
+        assert t.state_id(SINK) == len(model.states)
+        assert t.state(len(model.states)) == SINK
+        assert model.states == tuple(sorted(model.states))
+        for q in model.transitions:
+            i = t.state_id(q)
+            assert t.row(i) == tuple(
+                t.n_ids * t.labels.index(o) + t.state_id(q2)
+                for o, q2 in model.transitions[q])
+        assert len(set(t.labels)) == len(t.labels)
 
     def test_missing_state(self):
         model = build_symbolic_model(self._spec())

@@ -152,6 +152,41 @@ def test_exports_independent_of_hash_seed(spec_file, tmp_path):
         "a55235a3832f655b0990867febb7b58fa0cb325a20b9e83c8aa9f7adbc189553"]
 
 
+class TestUsageErrors:
+    """A usage error exits 1 (EXIT_ERROR) with one line on stderr, never 2,
+    which a script would read as INCONCLUSIVE."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--system", "d.json"], "required: --formula"),
+        (["verify", "--system", "d.json", "--formula", "G r",
+          "--eta", "abc"], "argument --eta"),
+        (["verify", "--system", "d.json", "--formula", "G r",
+          "--repeat", "x"], "argument --repeat"),
+        (["verify", "--system", "d.json", "--formula", "G r",
+          "--repeat", "0"], "argument --repeat"),
+        (["verify", "--system", "d.json", "--formula", "G r",
+          "--repeat", "-3"], "argument --repeat"),
+        (["bench", "--repeat", "0"], "argument --repeat"),
+        (["frob"], "invalid choice: 'frob'"),
+        ([], "required: command"),
+    ], ids=["missing-formula", "eta-abc", "repeat-x", "repeat-0",
+            "repeat-minus-3", "bench-repeat-0", "unknown-subcommand",
+            "no-subcommand"])
+    def test_exit_one(self, capsys, argv, message):
+        assert main(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and message in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: apobs")
+
+
 def test_repeat_defaults_to_one():
     # a cold single run: averaged reruns understate the first game build
     for argv in (["verify", "--system", "s.json", "--formula", "G r"],
@@ -186,3 +221,29 @@ class TestBench:
         assert float(rows[0]["model_s"]) >= 0.0
         assert float(rows[1]["model_s"]) == 0.0
         assert float(rows[0]["total_s"]) >= float(rows[0]["model_s"])
+
+    def test_bench_rows_pinned(self, tmp_path, capsys):
+        # the nine rows on the built-in drone at eta = 1 (1,089 cells):
+        # verdict, |B| and game P+O.  Rows with the same AP set reuse the
+        # first row's model.  ROADMAP direction 1 (sound labels) will move
+        # the c U b and b R c game sizes.
+        csvf = tmp_path / "bench.csv"
+        assert main(["bench", "--csv", str(csvf)]) == EXIT_VERIFIED
+        capsys.readouterr()
+        with open(csvf, newline="") as fh:
+            rows = {r["formula"]: (r["verdict"][0], int(r["automaton"]),
+                                   int(r["game_player"]),
+                                   int(r["game_opponent"]))
+                    for r in csv.DictReader(fh)}
+        assert list(rows) == list(BENCH_FORMULAS)
+        assert rows == {
+            "G r": ("V", 2, 297, 292),
+            "F p": ("I", 5, 297, 292),
+            "c U b": ("I", 7, 923, 598),
+            "b R c": ("I", 7, 923, 598),
+            "F G r": ("V", 6, 879, 874),
+            "G F g": ("I", 7, 307, 298),
+            "F (g & F p)": ("I", 33, 588, 583),
+            "G r & (F p & F c)": ("I", 46, 307, 298),
+            "G r & F (g & F p)": ("I", 49, 588, 583),
+        }

@@ -1,7 +1,9 @@
 """Büchi game construction, solving, strategy checking, and verify()."""
+import gc
 import hashlib
 import json
 import random
+import weakref
 from collections.abc import Sequence
 from dataclasses import replace
 
@@ -11,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 import apobs.abstraction as abstraction_module
 import apobs.game as game_module
 from apobs.abstraction import (SymbolicModel, SystemSpec, Mode,
-                               system_spec_to_json)
+                               symbolic_model_from_json,
+                               symbolic_model_to_json, system_spec_to_json)
 from apobs.automata import Automaton, translate
 from apobs.cli import BENCH_FORMULAS
 from apobs.game import (LOSE, WIN, BuchiGame, PipelineError, Report,
@@ -189,6 +192,38 @@ class TestBuildGameReference:
         game = _assert_same_game(model, nba)
         assert game.edges[0] == (1, 2)
         assert game.n_player == 4 and game.n_opponent == 4
+
+    def test_successor_outside_states(self):
+        # q1 is a successor but neither in states nor a key of the dict:
+        # it gets the id after the states, has no row, and its Opponent
+        # vertices go to WIN
+        a, z = _letters("A", "Z")
+        q0, q1 = (0,), (1,)
+        model = SymbolicModel(("p",), (q0,), q0,
+                              {q0: ((a, q1), (z, q0))}, False)
+        assert model.transitions.state_id(q1) == 1
+        assert q1 not in model.transitions and list(model.transitions) == [q0]
+        nba = _accept_all_nba([a, z])
+        game = _assert_same_game(model, nba)
+        assert [game.names[v] for v in game.redirected_opponent] == \
+            [("O", q1, "b0")]
+        assert solve_buchi(game).winning
+
+    @pytest.mark.parametrize("formula", ["G r", "c U b", "F G r",
+                                         "G r & F (g & F p)"])
+    def test_model_from_json_builds_the_same_game(self, formula):
+        # a model given as a dict goes through the encoder into the same
+        # integer rows as the model it was written from
+        nnf = to_nnf(parse_ltl(formula))
+        model, nba = drone_model(atoms(nnf)), translate(nnf)["nba"]
+        back = symbolic_model_from_json(symbolic_model_to_json(model))
+        game, again = build_game(model, nba), build_game(back, nba)
+        assert list(again.edges.items()) == list(game.edges.items())
+        assert again.owner == game.owner
+        assert again.accepting == game.accepting
+        assert again.redirected_player == game.redirected_player
+        assert again.redirected_opponent == game.redirected_opponent
+        assert list(again.names) == list(game.names)
 
     @settings(derandomize=True, database=None, max_examples=100,
               deadline=None)
@@ -392,6 +427,20 @@ class TestVerify:
             # the second call reads the cached spec text
             assert _config_hash(spec, text, tracked) == \
                 direct(spec, text, tracked)
+
+    def test_model_and_game_freed_without_the_cycle_collector(self):
+        # neither the model nor the game is in a reference cycle, so a
+        # query's memory is free for the next one as soon as its result
+        # is dropped
+        gc.disable()
+        try:
+            _, art = verify(_spec_1d(), "G p")
+            refs = [weakref.ref(art["model"].transitions),
+                    weakref.ref(art["game"])]
+            del art
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_drone_field_in_metres(self):
         # the patrol field is evaluated in metres, so eta = 0.25 grids the
