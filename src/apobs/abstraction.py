@@ -16,6 +16,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -125,6 +126,12 @@ class Mode:
         return self.v + self.ev
 
 
+def _finite(x):
+    """Is ``x`` a finite real number?  A bool is not one."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """A grid-quantized system.  A spec is treated as immutable: the grid
@@ -142,12 +149,29 @@ class SystemSpec:
     def __post_init__(self):
         if not (0 < self.eta < math.inf and 0 < self.tau < math.inf):
             raise ValueError("eta and tau must be positive and finite")
-        for m in self.modes.values():
+        for name, m in self.modes.items():
+            if not all(map(_finite, (m.v, m.ev, m.theta, m.etheta,
+                                     *(m.u or ()), *(m.du or ())))):
+                raise ValueError(f"mode {name!r}: a number is not finite")
             if m.u is None and m.v - m.ev < 0:
                 raise ValueError("speed deviation exceeds nominal speed")
+        if not all(map(_finite, (*itertools.chain(*self.domain),
+                                 *self.x_in))):
+            raise ValueError("domain bounds and x_in must be finite")
         for a in range(self.dim):
             if not (self.domain[a][0] <= self.x_in[a] <= self.domain[a][1]):
                 raise ValueError("x_in outside the domain")
+        for p, region in self.ap_regions.items():
+            for a, op, c in itertools.chain(*region):
+                if op not in ("le", "ge"):
+                    raise ValueError(f"AP {p!r}: op {op!r} is not le or ge")
+                if (isinstance(a, bool) or not isinstance(a, int)
+                        or not 0 <= a < self.dim):
+                    raise ValueError(f"AP {p!r}: axis {a!r} is not an "
+                                     f"integer in [0, {self.dim})")
+                if not _finite(c):
+                    raise ValueError(
+                        f"AP {p!r}: threshold {c!r} is not a finite number")
 
     @functools.cached_property
     def grid_ranges(self):

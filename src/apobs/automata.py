@@ -6,7 +6,8 @@ per U/R subformula before ``degeneralize`` and exactly one after it, and
 its initial state is one of its states.  The states of the automaton
 ``build_gba`` makes are a distinguished initial state Q0 and the
 consistent subformula valuations (tuples of observations aligned with the
-subformula closure) reachable from it.  Transition labels are observation
+subformula closure) reachable from it, generated per signature as the
+exploration from Q0 reaches them.  Transition labels are observation
 maps over the formula's atoms; by construction each edge's label equals
 its target valuation restricted to atoms.
 """
@@ -55,32 +56,47 @@ class Automaton:
 # ---------------------------------------------------------------------------
 # Construction
 
-def _consistent_valuations_bottomup(sub):
-    """Enumerate consistent valuations bottom-up in topological order,
-    pruning inconsistent partial assignments early."""
+def _position_tables(sub):
+    """Per closure position ``(i, j, by_mask)``: ``by_mask[m][v[i], v[j]]``
+    are the observations that operands ``v[i]``, ``v[j]`` allow there, of
+    those in {E,N} for mask m = 0, in {A,Z} for 1 and all four for 2.  A
+    constant or an atom has no operands: ``i`` is None, the key None."""
     idx = {g: i for i, g in enumerate(sub)}
-    partials = [()]
+
+    def by_mask(allowed):
+        return tuple(tuple(o for o in OBS if o in allowed and o in keep)
+                     for keep in ("EN", "AZ", OBS))
+
+    out = []
     for g in sub:
-        nxt = []
-        if isinstance(g, NTrue):
-            opts = lambda v: ("A",)
-        elif isinstance(g, NFalse):
-            opts = lambda v: ("N",)
-        elif isinstance(g, PosAtom):
-            opts = lambda v: OBS
-        elif isinstance(g, NegAtom):
-            i = idx[PosAtom(g.name)]
-            opts = lambda v, i=i: (NEG[v[i]],)
-        else:
+        if isinstance(g, NegAtom):
+            i = j = idx[PosAtom(g.name)]
+            cells = {(o, o): NEG[o] for o in OBS}
+        elif isinstance(g, (NAnd, NOr, NUntil, NRelease)):
             conn = {NAnd: "and", NOr: "or", NUntil: "U",
                     NRelease: "R"}[type(g)]
-            li, ri = idx[g.left], idx[g.right]
-            opts = lambda v, conn=conn, li=li, ri=ri: \
-                sorted(consistency(conn, v[li], v[ri]))
-        for v in partials:
-            for o in opts(v):
-                nxt.append(v + (o,))
-        partials = nxt
+            i, j = idx[g.left], idx[g.right]
+            cells = {(o1, o2): consistency(conn, o1, o2)
+                     for o1 in OBS for o2 in OBS}
+        else:
+            i = j = None
+            cells = {None: {NTrue: "A", NFalse: "N"}.get(type(g), OBS)}
+        cols = zip(*map(by_mask, cells.values()))
+        out.append((i, j, tuple(dict(zip(cells, col)) for col in cols)))
+    return out
+
+
+def _consistent_targets(tables, mask):
+    """The consistent valuations with each observation in the subset
+    ``mask`` picks there (see ``_position_tables``), built bottom-up."""
+    partials = [()]
+    for (i, j, by_mask), m in zip(tables, mask):
+        allowed = by_mask[m]
+        if i is None:
+            partials = [v + (o,) for v in partials for o in allowed[None]]
+        else:
+            partials = [v + (o,) for v in partials
+                        for o in allowed[v[i], v[j]]]
     return partials
 
 
@@ -88,43 +104,42 @@ def build_gba(f):
     """Build the generalized AP-observation automaton for an NNF formula.
 
     Its states are the initial state Q0 and the consistent valuations
-    reachable from it: the build explores forward from Q0, and a valuation
-    gets outgoing edges only once an edge reaches it.  The accepting sets
-    hold valuations only.
+    reachable from it; the accepting sets hold valuations only.  An edge
+    v -> v2 exists when v's source signature (per subformula: is it true
+    at the slice's end, in {A,E}?) equals v2's target signature (true at
+    the start, in {A,Z}?).  A signature's targets are generated when a
+    reached valuation first has it, so no unreached one is ever made.
     """
     if not isinstance(f, Nnf):
         f = to_nnf(f)
     sub = subformulas(f)
     idx = {g: i for i, g in enumerate(sub)}
     aps = tuple(sorted(g.name for g in sub if isinstance(g, PosAtom)))
-    ap_idx = [(p, idx[PosAtom(p)]) for p in aps]
+    # one (ap, observation) pair object per build, shared by every label
+    ap_pairs = [(idx[PosAtom(p)], {o: (p, o) for o in OBS}) for p in aps]
+    tables = _position_tables(sub)
 
-    valuations = _consistent_valuations_bottomup(sub)
+    def targets(mask):
+        return [(tuple(pairs[v[i]] for i, pairs in ap_pairs), v)
+                for v in _consistent_targets(tables, mask)]
 
-    # the transition condition compares a source signature (observation in
-    # {A,E}, per subformula) with a target signature (in {A,Z}); each
-    # target is stored with its label
-    by_target_sig = {}
-    for v in valuations:
-        sig = tuple(o in ("A", "Z") for o in v)
-        by_target_sig.setdefault(sig, []).append(
-            (tuple((p, v[i]) for p, i in ap_idx), v))
-
-    # Q0 reads every valuation whose root starts true (A or Z)
-    root = len(sub) - 1
-    q0_targets = [t for sig, ts in by_target_sig.items() if sig[root]
-                  for t in ts]
-    edges = {(Q0, lbl, v) for lbl, v in q0_targets}
+    # Q0 reads every valuation whose root starts true (A or Z); any other
+    # valuation is new only when its target signature is first generated
+    q0_targets = targets((2,) * (len(sub) - 1) + (1,))
+    edges = [(Q0, lbl, v) for lbl, v in q0_targets]
     stack = [v for _, v in q0_targets]
     states = set(stack)
+    by_sig = {}
     while stack:
         v = stack.pop()
-        for lbl, v2 in by_target_sig.get(
-                tuple(o in ("A", "E") for o in v), ()):
-            edges.add((v, lbl, v2))
-            if v2 not in states:
-                states.add(v2)
-                stack.append(v2)
+        sig = tuple(map("AE".__contains__, v))
+        ts = by_sig.get(sig)
+        if ts is None:
+            ts = by_sig[sig] = targets(sig)
+            new = [v2 for _, v2 in ts if v2 not in states]
+            states.update(new)
+            stack += new
+        edges += [(v, lbl, v2) for lbl, v2 in ts]
 
     accepting = []
     accepting_for = []
@@ -164,9 +179,9 @@ def restrict_valid_letters(a):
     {Z,E}.  Valid signal words never contain such letters (at most one AP
     changes per slice), so the recognized language over signal words is
     unchanged."""
-    return replace(a, edges=frozenset(
-        (s, o, d) for s, o, d in a.edges
-        if sum(1 for _, v in o if v in ("Z", "E")) <= 1))
+    labels = {o for _, o, _ in a.edges}
+    valid = {o for o in labels if sum(v in ("Z", "E") for _, v in o) <= 1}
+    return replace(a, edges=frozenset(e for e in a.edges if e[1] in valid))
 
 
 def _live(adj, initial):

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from apobs.abstraction import (SINK, _P_E, _P_Z, Mode, SystemSpec,
                                box_vs_region, gamma, mode_for_cell,
                                reach_box, region_contains, validate_tau)
-from apobs.automata import (Automaton, Q0, _consistent_valuations_bottomup,
-                            _reachable, _sccs)
+from apobs.automata import Automaton, Q0, _reachable, _sccs
 from apobs.ltl import (Atom, And, FalseF, Not, Or, Release, TrueF, Until,
                        NAnd, NFalse, NOr, NRelease, NTrue, NUntil, NegAtom,
                        Nnf, PosAtom, formula_str, subformulas, to_nnf)
@@ -54,8 +53,8 @@ def rand_nnf(rng, depth, aps):
 
 
 # ---------------------------------------------------------------------------
-# Reference valuation enumerator and eager automaton builder (references
-# for build_gba)
+# Two reference valuation enumerators and the eager automaton builder
+# (references for build_gba, which generates valuations per signature)
 
 def _consistent_valuations_bruteforce(sub):
     """Filter the full product O^|sub| by the consistency conditions."""
@@ -79,6 +78,35 @@ def _consistent_valuations_bruteforce(sub):
         if ok:
             out.append(v)
     return out
+
+
+def _consistent_valuations_bottomup(sub):
+    """Enumerate every consistent valuation bottom-up in topological
+    order, pruning inconsistent partial assignments early."""
+    idx = {g: i for i, g in enumerate(sub)}
+    partials = [()]
+    for g in sub:
+        nxt = []
+        if isinstance(g, NTrue):
+            opts = lambda v: ("A",)
+        elif isinstance(g, NFalse):
+            opts = lambda v: ("N",)
+        elif isinstance(g, PosAtom):
+            opts = lambda v: OBS
+        elif isinstance(g, NegAtom):
+            i = idx[PosAtom(g.name)]
+            opts = lambda v, i=i: (NEG[v[i]],)
+        else:
+            conn = {NAnd: "and", NOr: "or", NUntil: "U",
+                    NRelease: "R"}[type(g)]
+            li, ri = idx[g.left], idx[g.right]
+            opts = lambda v, conn=conn, li=li, ri=ri: \
+                sorted(consistency(conn, v[li], v[ri]))
+        for v in partials:
+            for o in opts(v):
+                nxt.append(v + (o,))
+        partials = nxt
+    return partials
 
 
 def full_gba_reference(f):

@@ -1,17 +1,20 @@
 """Automaton construction, pruning, minimization, and acceptance."""
+import itertools
 import random
 
 import pytest
 
-from apobs.automata import (Automaton, Q0, _consistent_valuations_bottomup,
-                            accepts_lasso, automaton_from_json,
-                            automaton_to_dot, automaton_to_json, build_gba,
-                            degeneralize, minimize, restrict_valid_letters,
-                            translate, trim)
+from apobs.automata import (Automaton, Q0, _consistent_targets,
+                            _position_tables, accepts_lasso,
+                            automaton_from_json, automaton_to_dot,
+                            automaton_to_json, build_gba, degeneralize,
+                            minimize, restrict_valid_letters, translate,
+                            trim)
 from apobs.cli import BENCH_FORMULAS
 from apobs.ltl import formula_str, parse_ltl, subformulas, to_nnf, atoms
 from apobs.observations import SignalWord, chop, eval_signal
-from conftest import (_consistent_valuations_bruteforce, _gfg_reference,
+from conftest import (_consistent_valuations_bottomup,
+                      _consistent_valuations_bruteforce, _gfg_reference,
                       full_gba_reference, gba_isomorphic, prune, rand_nnf,
                       rand_signal, trim_reference)
 
@@ -36,8 +39,7 @@ class TestBuildGba:
         assert a.accepting == ()
 
     def test_strategies_agree(self):
-        # build_gba depends only on the set of consistent valuations, so
-        # the bottom-up enumerator must list exactly the reference's set
+        # the two reference enumerators list the same consistent valuations
         rng = random.Random(41)
         for _ in range(40):
             sub = subformulas(rand_nnf(rng, 2, ("p", "q")))
@@ -45,6 +47,28 @@ class TestBuildGba:
             b = _consistent_valuations_bruteforce(sub)
             assert len(set(a)) == len(a) and len(set(b)) == len(b)
             assert set(a) == set(b)
+
+    def test_targets_per_signature(self):
+        # the generator build_gba calls per source signature lists exactly
+        # the consistent valuations with that target signature (in {A,Z}
+        # per subformula), none for a signature no valuation has, and for
+        # Q0 exactly those whose root is in {A,Z}
+        rng = random.Random(41)
+        for _ in range(40):
+            sub = subformulas(rand_nnf(rng, 2, ("p", "q")))
+            tables = _position_tables(sub)
+            valuations = _consistent_valuations_bruteforce(sub)
+            by_sig = {}
+            for v in valuations:
+                sig = tuple(int(o in "AZ") for o in v)
+                by_sig.setdefault(sig, set()).add(v)
+            for sig in itertools.product((0, 1), repeat=len(sub)):
+                got = _consistent_targets(tables, sig)
+                assert len(set(got)) == len(got)
+                assert set(got) == by_sig.get(sig, set())
+            root_true = {v for v in valuations if v[-1] in "AZ"}
+            got = _consistent_targets(tables, (2,) * (len(sub) - 1) + (1,))
+            assert len(set(got)) == len(got) and set(got) == root_true
 
     def test_accepting_sets_named(self):
         a = build_gba(to_nnf(parse_ltl("G F g")))
@@ -78,6 +102,9 @@ class TestForwardBuild:
         formulas = [rand_nnf(rng, 3, ("p", "q", "r")) for _ in range(150)]
         formulas += [to_nnf(parse_ltl(f))
                      for f in BENCH_FORMULAS + DEEP_FORMULAS]
+        # all 6,001 valuations of this one are reachable, so build_gba
+        # generates the targets of every signature
+        formulas.append(to_nnf(parse_ltl(f"!({DEEP_FORMULAS[1]})")))
         return [(f, full_gba_reference(f)) for f in formulas]
 
     def test_equals_reachable_part_of_reference(self, cases):

@@ -3,6 +3,7 @@ two subprocesses)."""
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import apobs
+from apobs.abstraction import Mode, SystemSpec
 from apobs.cli import (BENCH_FORMULAS, EXIT_ERROR, EXIT_INCONCLUSIVE,
                        EXIT_VERIFIED, PAPER_REFERENCE, build_parser, main)
 
@@ -99,7 +101,21 @@ class TestMalformedSpec:
         (lambda o: o.update(domain=[[-1, 1]]), "bad field 'domain'"),
         (lambda o: o["modes"]["default"].update(v="fast"),
          "bad field 'modes'"),
-    ], ids=["missing-modes", "short-domain", "non-numeric-speed"])
+        (lambda o: o["aps"]["p"][0][0].update(op="lt"), "AP 'p': op 'lt'"),
+        (lambda o: o["aps"]["p"][0][0].update(c=math.nan),
+         "AP 'p': threshold nan"),
+        (lambda o: o["aps"]["p"][0][0].update(c="6"), "AP 'p': threshold"),
+        (lambda o: o["aps"]["p"][0][0].update(axis=-1), "AP 'p': axis -1"),
+        (lambda o: o["aps"]["p"][0][0].update(axis=7), "AP 'p': axis 7"),
+        (lambda o: o["aps"]["p"][0][0].update(axis=True),
+         "AP 'p': axis True"),
+        (lambda o: o["modes"]["default"].update(v=math.nan),
+         "mode 'default'"),
+        (lambda o: o["domain"][0].__setitem__(1, math.inf),
+         "domain bounds and x_in must be finite"),
+    ], ids=["missing-modes", "short-domain", "non-numeric-speed", "op-lt",
+            "nan-threshold", "string-threshold", "negative-axis",
+            "axis-out-of-range", "bool-axis", "nan-speed", "infinite-domain"])
     def test_one_line_error(self, spec_file, tmp_path, capsys, edit, field):
         obj = json.loads(Path(spec_file).read_text())
         edit(obj)
@@ -117,6 +133,13 @@ class TestMalformedSpec:
                      option, value, "--repeat", "1"]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err == "error: eta and tau must be positive and finite\n"
+
+    def test_spec_checked_on_construction(self):
+        # library callers get the check too, not only spec JSON
+        with pytest.raises(ValueError, match="AP 'p': op 'lt'"):
+            SystemSpec(dim=1, domain=((0.0, 2.0),), eta=1.0, tau=1.0,
+                       x_in=(1.0,), modes={"default": Mode(v=1.0)},
+                       field="default", ap_regions={"p": (((0, "lt", 1.0),),)})
 
     def test_not_an_object(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
