@@ -14,13 +14,12 @@ from .observations import (
 )
 from .automata import (
     build_gba, trim, minimize, degeneralize, translate,
-    accepts_lasso, automaton_to_json, automaton_from_json, automaton_to_dot,
+    accepts_lasso, automaton_to_dot,
 )
 from .abstraction import (
     SystemSpec, Mode, SymbolicModel, gamma, reach_box,
     validate_tau, build_symbolic_model, simulate_trajectory,
     system_spec_to_json, system_spec_from_json,
-    symbolic_model_to_json, symbolic_model_from_json,
     TauValidationError, OutOfDomainError,
 )
 from .game import (

@@ -29,7 +29,6 @@ __all__ = [
     "gamma", "reach_box", "build_symbolic_model",
     "validate_tau", "simulate_trajectory",
     "system_spec_to_json", "system_spec_from_json",
-    "symbolic_model_to_json", "symbolic_model_from_json",
     "region_contains", "box_vs_region", "is_run_of",
     "SINK",
 ]
@@ -153,8 +152,16 @@ class SystemSpec:
             if not all(map(_finite, (m.v, m.ev, m.theta, m.etheta,
                                      *(m.u or ()), *(m.du or ())))):
                 raise ValueError(f"mode {name!r}: a number is not finite")
+            if min(m.ev, m.etheta, *(m.du or ())) < 0:
+                raise ValueError(f"mode {name!r}: a deviation is negative")
+            if m.u is not None and any(len(xs) != self.dim
+                                       for xs in (m.u, m.du or m.u)):
+                raise ValueError(f"mode {name!r}: u and du need {self.dim} "
+                                 f"entries")
             if m.u is None and m.v - m.ev < 0:
-                raise ValueError("speed deviation exceeds nominal speed")
+                raise ValueError(f"mode {name!r}: speed deviation exceeds "
+                                 f"nominal speed")
+        self._check_field()
         if not all(map(_finite, (*itertools.chain(*self.domain),
                                  *self.x_in))):
             raise ValueError("domain bounds and x_in must be finite")
@@ -172,6 +179,28 @@ class SystemSpec:
                 if not _finite(c):
                     raise ValueError(
                         f"AP {p!r}: threshold {c!r} is not a finite number")
+
+    def _check_field(self):
+        """Every mode name the field can resolve (see ``mode_for_cell``)
+        is in ``modes``: one set difference, however many table cells."""
+        f = self.field
+        kind = f.get("kind") if isinstance(f, dict) else None
+        if isinstance(f, str):
+            names = {f}
+        elif kind == "patrol":
+            names = {"default"}
+        elif kind == "table":
+            try:
+                names = {f.get("default", "default"), *f["cells"].values()}
+            except (KeyError, TypeError, AttributeError):
+                raise ValueError("field: a table needs 'cells' mapping each "
+                                 "cell to a mode name") from None
+        else:
+            raise ValueError(f"field: kind {kind!r} is not table or patrol")
+        missing = names - self.modes.keys()
+        if missing:
+            raise ValueError(f"field: no mode named "
+                             f"{', '.join(sorted(map(repr, missing)))}")
 
     @functools.cached_property
     def grid_ranges(self):
@@ -230,12 +259,11 @@ def mode_for_cell(spec, cell):
         name = spec.field["cells"].get(
             tuple(cell), spec.field.get("default", "default"))
         return spec.modes[name]
-    if kind == "patrol":
-        base = spec.modes["default"]
-        point = tuple(math.floor(k * spec.eta + 0.5) for k in cell)
-        theta = patrol_theta(point, spec.field)
-        return Mode(v=base.v, ev=base.ev, theta=theta, etheta=base.etheta)
-    raise ValueError(f"mode undefined for cell {cell}: bad field spec")
+    # kind == "patrol": SystemSpec admits no other field
+    base = spec.modes["default"]
+    point = tuple(math.floor(k * spec.eta + 0.5) for k in cell)
+    theta = patrol_theta(point, spec.field)
+    return Mode(v=base.v, ev=base.ev, theta=theta, etheta=base.etheta)
 
 
 def patrol_theta(point, params):
@@ -495,11 +523,11 @@ class SymbolicModel:
     comes from the model's label table.  ``transitions.row(i)`` is state
     i's tuple of pair ints ``label_id * n_ids + successor id``, and
     ``transitions.state(i)`` and ``transitions.labels[l]`` name the ids.
-    A model given a dict (``symbolic_model_from_json``, a hand-made
-    model) is encoded into the same rows.  In a model from
-    ``build_symbolic_model`` a state's row is computed when first read;
-    iterating the map (``items()``, ``values()``, ``edges()``, ``==``)
-    computes all of them, so every reader sees the full model."""
+    A model given a dict (a hand-made model) is encoded into the same
+    rows.  In a model from ``build_symbolic_model`` a state's row is
+    computed when first read; iterating the map (``items()``,
+    ``values()``, ``edges()``, ``==``) computes all of them, so every
+    reader sees the full model."""
     aps: tuple
     states: tuple             # grid cells; the sink (if any) is extra
     q_in: tuple
@@ -837,43 +865,3 @@ def system_spec_from_json(obj):
 
 def _state_str(q):
     return q if isinstance(q, str) else ",".join(map(str, q))
-
-
-def _state_from_str(s):
-    if s == SINK:
-        return SINK
-    return tuple(int(v) for v in s.split(","))
-
-
-def symbolic_model_to_json(m):
-    """JSON form of a model.  The edges are listed in the model's order
-    (state by state, each state's transitions in order), so
-    ``symbolic_model_from_json`` gives back an equal model that builds
-    the same game."""
-    edges = [{"src": _state_str(q), "label": dict(o), "dst": _state_str(q2)}
-             for q, o, q2 in m.edges()]
-    return {
-        "aps": list(m.aps),
-        "states": [_state_str(q) for q in m.states],
-        "initial": _state_str(m.q_in),
-        "has_sink": m.has_sink,
-        "eta": m.eta, "tau": m.tau,
-        "edges": edges,
-    }
-
-
-def symbolic_model_from_json(obj):
-    transitions = {_state_from_str(s): [] for s in obj["states"]}
-    if obj.get("has_sink", False):
-        transitions[SINK] = []
-    for e in obj["edges"]:
-        q = _state_from_str(e["src"])
-        transitions.setdefault(q, []).append(
-            (tuple(sorted(e["label"].items())), _state_from_str(e["dst"])))
-    transitions = {q: tuple(v) for q, v in transitions.items()}
-    return SymbolicModel(
-        tuple(sorted(obj["aps"])),
-        tuple(_state_from_str(s) for s in obj["states"]),
-        _state_from_str(obj["initial"]),
-        transitions, obj.get("has_sink", False),
-        obj.get("eta"), obj.get("tau"))

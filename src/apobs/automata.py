@@ -23,8 +23,7 @@ from .observations import NEG, OBS, consistency, is_signal_word
 __all__ = [
     "Q0", "Automaton", "build_gba", "trim",
     "restrict_valid_letters", "minimize", "degeneralize", "accepts_lasso",
-    "translate", "automaton_to_json", "automaton_from_json",
-    "automaton_to_dot",
+    "translate", "automaton_to_dot",
 ]
 
 Q0 = "q0"
@@ -184,41 +183,21 @@ def restrict_valid_letters(a):
     return replace(a, edges=frozenset(e for e in a.edges if e[1] in valid))
 
 
-def _live(adj, initial):
-    """The reachable, deadlock-free states of the successor map ``adj``:
-    those reachable from ``initial`` from which a run goes on forever, plus
-    ``initial`` itself.
-
-    Dead states are removed with successor counters after one reachability
-    pass: removing a state with no successors never makes another state
-    unreachable, so no fixpoint over both is needed."""
-    live = _reachable(adj, initial)
-    n_succ = dict.fromkeys(live, 0)
-    preds = {}
-    for s in live:
-        for _, d in adj.get(s, ()):
-            n_succ[s] += 1
-            preds.setdefault(d, []).append(s)
-    dead = [s for s, n in n_succ.items() if n == 0 and s != initial]
-    while dead:
-        d = dead.pop()
-        live.discard(d)
-        for s in preds.get(d, ()):
-            n_succ[s] -= 1
-            if n_succ[s] == 0 and s != initial:
-                dead.append(s)
-    return live
-
-
 def trim(a):
-    """Restrict to the reachable, deadlock-free part: every kept state is
-    reachable from the initial state and has an outgoing edge to a kept
-    state.  The initial state is always kept."""
-    live = _live(a.successors(), a.initial)
+    """Restrict to the part reachable from the initial state.
+
+    On the pipeline's automata no kept state is dead: every consistent
+    valuation v has the consistent successor that observes each
+    subformula as A or N by its truth at v's end, c(end(v)), where
+    c(true) = A and c(false) = N.  For every connective and consistent
+    (o1, o2, o), c(end(o)) is allowed for (c(end(o1)), c(end(o2))), and
+    end(NEG[o]) = not end(o).  c(end(v))'s target signature is v's source
+    signature and its letter changes no AP, so the edge is a valid letter
+    and ``restrict_valid_letters`` keeps it."""
+    live = _reachable(a.successors(), a.initial)
     return replace(
         a, states=frozenset(live),
-        edges=frozenset((s, o, d) for s, o, d in a.edges
-                        if s in live and d in live),
+        edges=frozenset((s, o, d) for s, o, d in a.edges if s in live),
         accepting=tuple(fs & live for fs in a.accepting))
 
 
@@ -286,13 +265,13 @@ def degeneralize(a):
     {(s, 1) | s in F_1}.  The counter runs over the accepting sets in
     reverse subformula order (outermost connective first); this is the
     fixed convention.  With no accepting set, F_1 is every state but the
-    initial one.  Only the reachable deadlock-free part of ``a`` is
-    explored, so the result has no dead states either.
+    initial one.  Only the part of ``a`` reachable from its initial state
+    is explored; the result has a dead state only where ``a`` has one
+    reachable, which the pipeline's automata never have (see ``trim``).
     """
     accepting = tuple(reversed(a.accepting)) or (a.states - {a.initial},)
     m = len(accepting)
     adj = a.successors()
-    live = _live(adj, a.initial)
 
     edges = set()
     init = (a.initial, 1)
@@ -302,8 +281,6 @@ def degeneralize(a):
         s, i = stack.pop()
         i2 = (i % m) + 1 if s in accepting[i - 1] else i
         for o, d in adj.get(s, ()):
-            if d not in live:
-                continue
             nxt = (d, i2)
             edges.add(((s, i), o, nxt))
             if nxt not in seen:
@@ -411,22 +388,22 @@ def accepts_lasso(a, w):
 
 
 # ---------------------------------------------------------------------------
-# Pipeline and serialization
+# Pipeline and DOT export
 
 def translate(f):
     """Full formula-side pipeline: build the part reachable from Q0,
-    restrict to valid signal-word letters, trim to the reachable
-    deadlock-free part, minimize, degeneralize.  Returns a dict with all
+    restrict to valid signal-word letters, trim to the part still
+    reachable, minimize, degeneralize.  Returns a dict with all
     intermediate automata under "gba", "trimmed", "minimized" and "nba".
 
     ``build_gba`` already keeps only valuations reachable from Q0 over all
-    letters; ``trim`` then drops what becomes unreachable or deadlocked
-    once the invalid letters are gone.
-
-    Note: the trim step removes deadlocked/unreachable states but keeps
-    states without accepting continuations (they are harmless for language
-    and membership checks).  This exact stage combination reproduces the
-    published per-formula automaton sizes.
+    letters; ``trim`` then drops what becomes unreachable once the invalid
+    letters are gone.  No state is dead at any stage: every reached
+    valuation has a successor over a letter that changes no AP (the lemma
+    in ``trim``'s docstring).  States without accepting continuations are
+    kept (they are harmless for language and membership checks).  This
+    exact stage combination reproduces the published per-formula
+    automaton sizes.
     """
     raw = build_gba(f)
     trimmed = trim(restrict_valid_letters(raw))
@@ -440,30 +417,6 @@ def _state_names(a):
     for i, s in enumerate(sorted(a.states - {a.initial}, key=repr), start=1):
         names[s] = f"q{i}"
     return names
-
-
-def automaton_to_json(a):
-    names = _state_names(a)
-    edges = sorted((names[s], o, names[d]) for s, o, d in a.edges)
-    return {
-        "accepting_for": list(a.accepting_for),
-        "aps": list(a.aps),
-        "states": sorted(names.values(), key=lambda x: int(x[1:])),
-        "initial": "q0",
-        "edges": [{"src": s, "label": dict(o), "dst": d}
-                  for s, o, d in edges],
-        "accepting": [sorted(names[s] for s in fs) for fs in a.accepting],
-    }
-
-
-def automaton_from_json(obj):
-    edges = frozenset(
-        (e["src"], tuple(sorted(e["label"].items())), e["dst"])
-        for e in obj["edges"])
-    return Automaton(tuple(sorted(obj["aps"])), frozenset(obj["states"]),
-                     edges, obj["initial"],
-                     tuple(frozenset(fs) for fs in obj["accepting"]),
-                     tuple(obj["accepting_for"]))
 
 
 def automaton_to_dot(a, title=""):

@@ -13,7 +13,6 @@ import dataclasses
 import io
 import json
 import sys
-import time
 
 from . import abstraction as _abs
 from . import automata as _aut
@@ -128,31 +127,21 @@ def cmd_scenario(args):
 
 
 def _bench_rows(spec, formulas, repeat, with_reference):
-    """One row per formula.  The model is built once per AP set: the row
-    that builds it carries its time in ``model_s`` (and ``total_s``), the
-    rows that reuse it carry 0."""
-    model_cache = {}
+    """One row per formula; each row builds its own automaton, model and
+    game."""
     rows = []
     for f in formulas:
-        tracked = _ltl.atoms(_ltl.to_nnf(_ltl.parse_ltl(f)))
-        model_s = 0.0
-        if tracked not in model_cache:
-            t0 = time.perf_counter()
-            model_cache[tracked] = _abs.build_symbolic_model(
-                spec, tracked_aps=tracked)
-            model_s = time.perf_counter() - t0
-        report, _ = _game.verify(spec, f, repeat=repeat,
-                                 model=model_cache[tracked])
+        report, _ = _game.verify(spec, f, repeat=repeat)
         row = {
             "formula": f,
             "automaton": report.sizes["automaton"],
             "automaton_s": round(report.times["automaton"], 2),
-            "model_s": round(model_s, 2),
+            "model_s": round(report.times["model"], 2),
             "game_player": report.sizes["game_player"],
             "game_opponent": report.sizes["game_opponent"],
             "game_s": round(report.times["game_build"], 2),
             "solve_s": round(report.times["game_solve"], 2),
-            "total_s": round(report.times["total"] + model_s, 2),
+            "total_s": round(report.times["total"], 2),
             "verdict": report.verdict,
         }
         ref = PAPER_REFERENCE.get(f) if with_reference else None
@@ -188,8 +177,6 @@ def _bench_table(rows, with_reference, averaged):
         print(line, file=out)
     if not averaged:
         print("(timings from a single run, not averaged)", file=out)
-    print("(model(s): built once per AP set; later rows tracking the same "
-          "APs reuse it)", file=out)
     if with_reference:
         print("(the 'paper' columns are published reference values; game "
               "sizes and timings\n depend on an unrecoverable heading field "

@@ -344,17 +344,14 @@ def _stage(name, fn, *args, **kwargs):
         raise PipelineError(name, e) from e
 
 
-def verify(spec, formula, repeat=1, allow_unsound_tau=False, model=None):
+def verify(spec, formula, repeat=1, allow_unsound_tau=False):
     """Full pipeline: parse/NNF -> automaton -> symbolic model -> game ->
     solve.  The verdict is VERIFIED when Player wins the game, otherwise
     INCONCLUSIVE (a lost game proves nothing).  Timings are wall-clock
     averages over ``repeat`` runs of the automaton, model, game build and
     solve sequence; each run builds its own automaton, model and game.
 
-    ``formula`` may be LTL text or a Formula/Nnf object.  ``model`` can
-    supply a prebuilt SymbolicModel over the formula's atoms; every run
-    then reuses it, so runs after the first find the transitions it
-    computed on first access already there.
+    ``formula`` may be LTL text or a Formula/Nnf object.
 
     ``times["model"]`` covers only the up-front part of the model build:
     the transitions of the cells the game reaches are computed on first
@@ -384,13 +381,11 @@ def verify(spec, formula, repeat=1, allow_unsound_tau=False, model=None):
         times[name] += (time.perf_counter() - t0) / repeat
         return result
 
-    given = model
     for run in range(repeat):
         nba = timed("automaton", lambda: _aut.translate(nnf)["nba"])
-        if given is None:
-            model = timed("model", _abs.build_symbolic_model,
-                          replace(spec) if run else spec,
-                          tracked_aps=tracked, force=allow_unsound_tau)
+        model = timed("model", _abs.build_symbolic_model,
+                      replace(spec) if run else spec,
+                      tracked_aps=tracked, force=allow_unsound_tau)
         game = timed("game_build", build_game, model, nba)
         result = timed("game_solve", solve_buchi, game)
     times["total"] = sum(times.values())

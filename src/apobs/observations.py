@@ -29,9 +29,7 @@ from .ltl import (NAnd, NFalse, NOr, NRelease, NTrue, NUntil, NegAtom,
 
 __all__ = [
     "OBS", "NEG", "consistency",
-    "SignalWord", "is_signal_word", "signal_word_to_json",
-    "signal_word_from_json",
-    "PiecewiseSignal", "piecewise_signal_to_json", "piecewise_signal_from_json",
+    "SignalWord", "is_signal_word", "PiecewiseSignal",
     "chop", "eval_signal", "unique_run_oracle",
     "ValuationLasso",
     "ChoppingError", "UndefinedSlice", "MultiChange", "IncommensurableError",
@@ -183,20 +181,6 @@ def is_signal_word(w):
     return True, None
 
 
-def signal_word_to_json(w):
-    return {"prefix": [dict(m) for m in w.prefix],
-            "loop": [dict(m) for m in w.loop]}
-
-
-def signal_word_from_json(obj):
-    if not obj.get("loop"):
-        raise ValueError("signal word needs a nonempty loop")
-    aps = set()
-    for m in obj.get("prefix", []) + obj["loop"]:
-        aps |= set(m)
-    return SignalWord.make(sorted(aps), obj.get("prefix", []), obj["loop"])
-
-
 # ---------------------------------------------------------------------------
 # Piecewise-constant ultimately periodic signals
 
@@ -275,19 +259,6 @@ class PiecewiseSignal:
             if rel < acc:
                 return letter
         raise AssertionError("unreachable")
-
-
-def piecewise_signal_to_json(s):
-    def enc(ps):
-        return [{"dur": float(d), "aps": sorted(letter)} for d, letter in ps]
-    return {"prefix": enc(s.prefix), "loop": enc(s.loop)}
-
-
-def piecewise_signal_from_json(obj, aps=None):
-    def dec(ps):
-        return [(p["dur"], frozenset(p["aps"])) for p in ps]
-    return PiecewiseSignal.make(dec(obj.get("prefix", [])), dec(obj["loop"]),
-                                aps=aps)
 
 
 # ---------------------------------------------------------------------------

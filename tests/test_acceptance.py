@@ -237,8 +237,8 @@ def test_criterion_10_game_sizes_vs_reference():
         spec = drone_spec()
         for f in BENCH_FORMULAS:
             tracked = atoms(to_nnf(parse_ltl(f)))
-            model = drone_model(tracked)
-            report, _ = verify(spec, f, model=model)
+            report, art = verify(spec, f)
+            model = art["model"]
             assert report.sizes["automaton"] == _B_SIZES[f]
             gp = report.sizes["game_player"]
             go = report.sizes["game_opponent"]

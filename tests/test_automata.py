@@ -6,8 +6,7 @@ import pytest
 
 from apobs.automata import (Automaton, Q0, _consistent_targets,
                             _position_tables, accepts_lasso,
-                            automaton_from_json, automaton_to_dot,
-                            automaton_to_json, build_gba, degeneralize,
+                            automaton_to_dot, build_gba, degeneralize,
                             minimize, restrict_valid_letters, translate,
                             trim)
 from apobs.cli import BENCH_FORMULAS
@@ -200,12 +199,13 @@ class TestPipelineStages:
             assert adj.get(s)
 
     def test_trim_equals_definition(self):
+        # on the pipeline's automata the reachable part has no dead state,
+        # so trim equals the reference that also removes dead states; on
+        # the sparse random automata it is the reachable part
         rng = random.Random(59)
         formulas = [rand_nnf(rng, 3, ("p", "q")) for _ in range(60)]
-        cases = [restrict_valid_letters(build_gba(f)) for f in formulas]
-        cases += [_rand_sparse(rng) for _ in range(100)]
         shrunk = 0
-        for a in cases:
+        for a in [restrict_valid_letters(build_gba(f)) for f in formulas]:
             t = trim(a)
             live = trim_reference(a)
             assert t.states == live, a
@@ -215,15 +215,24 @@ class TestPipelineStages:
             assert t.initial == a.initial == Q0
             shrunk += t.n_states < a.n_states
         assert shrunk > 0
+        dead = 0
+        for a in [_rand_sparse(rng) for _ in range(100)]:
+            t = trim(a)
+            assert t == _reachable_part(a), a
+            dead += trim_reference(a) != t.states
+        assert dead > 0
 
-    def test_trim_removes_dead_chain(self):
+    def test_trim_keeps_a_reachable_dead_chain(self):
+        # trim drops only what is unreachable; the dead chain a -> b -> c
+        # stays (no pipeline automaton has one, see the lemma test)
         a = _dead_chain()
         lbl = (("p", "A"),)
         assert trim_reference(a) == {Q0, "x"}
         assert trim(a) == Automaton(
-            ("p",), frozenset({Q0, "x"}),
-            frozenset({(Q0, lbl, "x"), ("x", lbl, "x")}), Q0,
-            (frozenset({"x"}),))
+            ("p",), frozenset({Q0, "a", "b", "c", "x"}),
+            frozenset({(Q0, lbl, "a"), ("a", lbl, "b"), ("b", lbl, "c"),
+                       (Q0, lbl, "x"), ("x", lbl, "x")}), Q0,
+            (frozenset({"b", "x"}),))
 
     def test_degeneralize_trims_its_input(self):
         # the pipeline's automata have unreachable states but no dead ones:
@@ -313,24 +322,6 @@ class TestLanguagePreservation:
 
 
 class TestSerialization:
-    def test_json_roundtrip_gba(self):
-        a = translate(to_nnf(parse_ltl("G F g")))["minimized"]
-        assert a.n_states <= 8  # gba_isomorphic tries every permutation
-        b = automaton_from_json(automaton_to_json(a))
-        assert gba_isomorphic(a, b)
-        assert b.accepting_for == a.accepting_for
-
-    def test_json_roundtrip_nba(self):
-        a = translate(to_nnf(parse_ltl("G r")))["nba"]
-        assert a.n_states <= 8  # gba_isomorphic tries every permutation
-        b = automaton_from_json(automaton_to_json(a))
-        assert len(b.accepting) == 1
-        assert gba_isomorphic(a, b)
-        assert b.n_states == a.n_states
-        assert len(b.edges) == len(a.edges)
-        w = SignalWord.make(("r",), [], [{"r": "A"}])
-        assert accepts_lasso(b, w) == accepts_lasso(a, w)
-
     def test_to_dot(self):
         a = translate(to_nnf(parse_ltl("p")))["nba"]
         dot = automaton_to_dot(a, title="p")
