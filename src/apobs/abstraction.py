@@ -21,7 +21,8 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .observations import OBS, ChoppingError, MultiChange, UndefinedSlice
+from .observations import (OBS, ChoppingError, MultiChange, UndefinedSlice,
+                           letter_code, letter_of)
 
 __all__ = [
     "Mode", "SystemSpec", "SymbolicModel", "TauValidation",
@@ -134,8 +135,8 @@ def _finite(x):
 @dataclass(frozen=True)
 class SystemSpec:
     """A grid-quantized system.  A spec is treated as immutable: the grid
-    ranges, ``v_max`` and the canonical JSON text are computed once per
-    instance and kept (``dataclasses.replace`` makes a fresh instance)."""
+    ranges, the cells, ``v_max`` and the canonical JSON text are computed
+    once per instance and kept (``dataclasses.replace`` makes a new one)."""
     dim: int
     domain: tuple           # ((lo, hi), ...) per axis
     eta: float
@@ -201,6 +202,10 @@ class SystemSpec:
         if missing:
             raise ValueError(f"field: no mode named "
                              f"{', '.join(sorted(map(repr, missing)))}")
+        if kind == "patrol" and self.dim != 2:
+            raise ValueError(f"field: patrol needs dim 2, not {self.dim}")
+        if kind == "patrol" and self.modes["default"].u is not None:
+            raise ValueError("field: patrol needs an angular 'default' mode")
 
     @functools.cached_property
     def grid_ranges(self):
@@ -212,7 +217,7 @@ class SystemSpec:
     @functools.cached_property
     def v_max(self):
         """Largest speed bound over the modes of all cells."""
-        return max((mode_for_cell(self, c).v_max for c in self.cells()),
+        return max((mode_for_cell(self, c).v_max for c in self.cells),
                    default=0.0)
 
     @functools.cached_property
@@ -220,9 +225,11 @@ class SystemSpec:
         """``system_spec_to_json`` as JSON text with sorted keys."""
         return json.dumps(system_spec_to_json(self), sort_keys=True)
 
+    @functools.cached_property
     def cells(self):
-        ranges = [range(kmin, kmax + 1) for kmin, kmax in self.grid_ranges]
-        return [tuple(c) for c in itertools.product(*ranges)]
+        """The grid cells as a tuple, in row-major order."""
+        return tuple(itertools.product(
+            *(range(kmin, kmax + 1) for kmin, kmax in self.grid_ranges)))
 
     def cell_box(self, cell):
         """Closed box of a grid cell, k*eta +- eta/2 per axis.  A boundary
@@ -442,24 +449,28 @@ class _Transitions(Mapping):
     integer rows and decoded when read; nothing decoded is kept.
 
     State id i names ``state(i)``: the model's ``states`` in order, then
-    any other state (the sink, a successor outside ``states``).  Label id
-    l names ``labels[l]``.  A transition (o, q2) is the pair int
-    ``labels.index(o) * n_ids + state_id(q2)``, and ``row(i)`` is the tuple
-    of state i's pair ints in transition order.  A model from
-    ``build_symbolic_model`` computes a row, and any label it brings, the
-    first time the row is read."""
+    any other state (the sink, a successor outside ``states``).  A
+    transition (o, q2) is the pair int ``letter_code(o) * n_ids +
+    state_id(q2)``, and ``row(i)`` is the tuple of state i's pair ints in
+    transition order, each pair once.  A model from
+    ``build_symbolic_model`` computes a row the first time it is read."""
 
-    def __init__(self, ids, keys, index, outgoing, labels):
+    def __init__(self, ids, keys, index, outgoing, aps):
         self._ids = ids              # state id -> state
         self._keys = keys            # ids of the mapped states, in order
         self.state_id = index        # state -> state id, or None
         self._outgoing = outgoing    # state id -> row, called once per id
         self._rows = [None] * len(ids)
-        self.labels = labels         # label id -> label
+        self._aps = aps
         self.n_ids = len(ids)
 
     def state(self, i):
         return self._ids[i]
+
+    def pair(self, p):
+        """The transition (label, successor) of pair int ``p``."""
+        code, i = divmod(p, self.n_ids)
+        return letter_of(code, self._aps), self._ids[i]
 
     def row(self, i):
         r = self._rows[i]
@@ -471,8 +482,7 @@ class _Transitions(Mapping):
         i = self.state_id(q)
         if i is None or i not in self._keys:
             raise KeyError(q)
-        labels, ids, n = self.labels, self._ids, self.n_ids
-        return tuple((labels[p // n], ids[p % n]) for p in self.row(i))
+        return tuple(map(self.pair, self.row(i)))
 
     def __iter__(self):
         return map(self._ids.__getitem__, self._keys)
@@ -481,65 +491,44 @@ class _Transitions(Mapping):
         return len(self._keys)
 
 
-def _label_table():
-    """An empty label table: the list of labels by id, and the function
-    that gives a label's id, adding the label if it is new."""
-    labels, ids = [], {}
-
-    def label_id(o):
-        if o not in ids:
-            ids[o] = len(labels)
-            labels.append(o)
-        return ids[o]
-    return labels, label_id
-
-
-def _encode(states, q_in, transitions):
+def _encode(aps, states, q_in, transitions):
     """The ``_Transitions`` of a model given as a dict state -> tuple of
     (label, successor): states outside ``states`` get ids in the order
-    first met among the keys, the successors and ``q_in``."""
+    first met among the keys, the successors and ``q_in``.  A repeated
+    transition is kept once; a label whose APs are not ``aps`` in order
+    raises a ValueError."""
     ids = list(dict.fromkeys(itertools.chain(
         states, transitions,
         (q2 for outs in transitions.values() for _, q2 in outs), (q_in,))))
     index = {q: i for i, q in enumerate(ids)}
-    labels, label_id = _label_table()
     rows = [()] * len(ids)
     for q, outs in transitions.items():
-        rows[index[q]] = tuple(len(ids) * label_id(o) + index[q2]
-                               for o, q2 in outs)
+        rows[index[q]] = tuple(dict.fromkeys(
+            len(ids) * letter_code(o, aps) + index[q2] for o, q2 in outs))
     return _Transitions(ids, dict.fromkeys(index[q] for q in transitions),
-                        index.get, rows.__getitem__, labels)
+                        index.get, rows.__getitem__, aps)
 
 
 @dataclass(frozen=True)
 class SymbolicModel:
     """A finite symbolic model.  ``transitions`` maps every state, the
     cells in grid order and then the sink if there is one, to a tuple of
-    (label, successor).
-
-    The transitions are stored once, as integer rows (see
-    ``_Transitions``): a state's id is its position in ``states``, so a
-    cell's row-major index, and the sink gets the next id; a label's id
-    comes from the model's label table.  ``transitions.row(i)`` is state
-    i's tuple of pair ints ``label_id * n_ids + successor id``, and
-    ``transitions.state(i)`` and ``transitions.labels[l]`` name the ids.
-    A model given a dict (a hand-made model) is encoded into the same
-    rows.  In a model from ``build_symbolic_model`` a state's row is
-    computed when first read; iterating the map (``items()``,
-    ``values()``, ``edges()``, ``==``) computes all of them, so every
-    reader sees the full model."""
+    (label, successor), stored once as integer rows (see ``_Transitions``).
+    A dict given by hand is encoded into the same rows; its labels must
+    list ``aps`` in order.  In a model from ``build_symbolic_model`` a
+    state's row is computed when first read; iterating the map
+    (``items()``, ``values()``, ``edges()``, ``==``) computes all of them,
+    so every reader sees the full model."""
     aps: tuple
     states: tuple             # grid cells; the sink (if any) is extra
     q_in: tuple
     transitions: Mapping      # state -> tuple of (label, successor)
     has_sink: bool
-    eta: float = None
-    tau: float = None
 
     def __post_init__(self):
         if not isinstance(self.transitions, _Transitions):
             object.__setattr__(self, "transitions", _encode(
-                self.states, self.q_in, self.transitions))
+                self.aps, self.states, self.q_in, self.transitions))
 
     @property
     def n_states(self):
@@ -581,9 +570,11 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
 
     A transition's labels depend only on the signatures of its two ends,
     the classification of every tracked AP on the cell (all '?' on the
-    sink), numbered by a small int.  Their label ids are computed once per
-    pair of signatures, and a row is made from them and the successors'
-    ids, which are cell-index arithmetic: no tuple per transition.
+    sink), numbered by a small int.  Their letter codes are computed once
+    per pair of signatures, and a row is made from them and the
+    successors' ids, which are cell-index arithmetic: no tuple per
+    transition.  The successors are distinct, and so are the labels of
+    each, so a row lists each pair once.
 
     Up front only the tau check and the sink check run.  A cell's row
     (and its signature) is computed the first time it is read, so a game
@@ -603,14 +594,13 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
             f"tau={spec.tau} exceeds tau_max={tv.tau_max:.6g} "
             f"(v_max={tv.v_max}); pass force=True to override")
 
-    cells = spec.cells()
+    cells = spec.cells
     sink = len(cells)            # the sink's id, if there is a sink
     regions = [spec.ap_regions[p] for p in aps]
     n_sigs = 3 ** len(aps)
     sig_ids = {("?",) * len(aps): 0}  # signature -> small int; sink's is 0
     sigs = [None] * sink
-    labels = {}                  # s * n_sigs + s2 -> label ids * n_ids
-    label_table, label_id = _label_table()
+    labels = {}                  # s * n_sigs + s2 -> letter codes * n_ids
 
     def signature(i):
         s = sigs[i]
@@ -626,7 +616,7 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
             s, s2 = divmod(key, n_sigs)
             chars = list(sig_ids)
             out = labels[key] = tuple(
-                len(ids) * label_id(o) for o in _labels_for(
+                len(ids) * letter_code(o) for o in _labels_for(
                     chars[s], chars[s2], aps, drop_multi_change))
         return out
 
@@ -636,7 +626,7 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
 
     def outgoing(i):
         if i == sink:
-            return tuple(lid + sink for lid in labels_for(0))
+            return tuple(c + sink for c in labels_for(0))
         box, exits = reach_box(spec, cells[i])
         succ = [0]
         for (blo, bhi), ((kmin, kmax), (dlo, dhi)) in zip(box, axes):
@@ -653,9 +643,9 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
         s = n_sigs * signature(i)
         row = []
         for j in succ:
-            row.extend([lid + j for lid in labels_for(s + signature(j))])
+            row.extend([c + j for c in labels_for(s + signature(j))])
         if exits:
-            row.extend([lid + sink for lid in labels_for(s)])
+            row.extend([c + sink for c in labels_for(s)])
         return tuple(row)
 
     def state_id(q):
@@ -671,13 +661,13 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
             return None
 
     has_sink = any(reach_box(spec, q)[1] for q in cells)
-    ids = cells + [SINK] if has_sink else cells
+    ids = cells + (SINK,) if has_sink else cells
     # the closures hold no reference to the map: a model is freed as soon
     # as it is dropped, without waiting for the cycle collector
-    return SymbolicModel(aps, tuple(cells), gamma(spec.x_in, spec),
+    return SymbolicModel(aps, cells, gamma(spec.x_in, spec),
                          _Transitions(ids, range(len(ids)), state_id,
-                                      outgoing, label_table),
-                         has_sink, spec.eta, spec.tau)
+                                      outgoing, aps),
+                         has_sink)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 from . import abstraction as _abs
 from . import automata as _aut
 from . import ltl as _ltl
+from .observations import letter_code
 
 __all__ = [
     "BuchiGame", "SolveResult", "Report", "PipelineError",
@@ -53,7 +54,7 @@ class _Names(Sequence):
     With nb automaton states, ranked by ``repr`` into ``states``, an
     Opponent vertex on model state id s has key 2 * (s * nb + b) and a
     Player vertex on model pair int p has key 2 * (p * nb + b) + 1; the
-    sinks WIN and LOSE have keys -1 and -2.  States and labels are
+    sinks WIN and LOSE have keys -1 and -2.  States and pairs are
     decoded through the model's ``transitions``."""
 
     def __init__(self, keys, transitions, states):
@@ -69,11 +70,10 @@ class _Names(Sequence):
         if k < 0:
             return WIN if k == -1 else LOSE
         x, b = divmod(k >> 1, len(self._states))
-        t = self._transitions
         if k & 1:
-            lid, s = divmod(x, t.n_ids)
-            return ("P", t.state(s), t.labels[lid], self._states[b])
-        return ("O", t.state(x), self._states[b])
+            o, q = self._transitions.pair(x)
+            return ("P", q, o, self._states[b])
+        return ("O", self._transitions.state(x), self._states[b])
 
 
 @dataclass(frozen=True)
@@ -111,13 +111,14 @@ def build_game(model, nba):
 
     Opponent successors follow the model's transition order, Player
     successors the automaton states ranked once by ``repr``.  The
-    automaton must have exactly one accepting set.
+    automaton must have exactly one accepting set, and its edge labels
+    must list the model's APs in order.
 
     The product is explored on ints (see ``_Names`` for the vertex
     keys): an Opponent vertex is keyed by the model's state id, a Player
-    vertex by the model's pair int (label id and successor id), and a
-    state's row is read once, when its first Opponent vertex is
-    expanded.  No vertex tuple is made while exploring."""
+    vertex by the model's pair int (letter code and successor id), and
+    the automaton's successors by letter code and state rank.  No vertex
+    tuple is made while exploring."""
     if tuple(sorted(model.aps)) != tuple(sorted(nba.aps)):
         raise ValueError(
             f"alphabet mismatch: model tracks {model.aps}, "
@@ -126,20 +127,16 @@ def build_game(model, nba):
     states = sorted(nba.states, key=repr)
     nb = len(states)
     rank = {b: i for i, b in enumerate(states)}
-    letter_ids = {}
-    b_succ = {}          # letter id * nb + rank of b -> 2 * ranks of b'
+    b_succ = {}          # letter code * nb + rank of b -> 2 * ranks of b'
     for b, o, b2 in nba.edges:
-        k = letter_ids.setdefault(o, len(letter_ids))
-        b_succ.setdefault(k * nb + rank[b], []).append(2 * rank[b2])
+        b_succ.setdefault(letter_code(o, model.aps) * nb + rank[b],
+                          []).append(2 * rank[b2])
     for outs in b_succ.values():
         outs.sort()
     is_acc = bytes(b in acc for b in states)
 
     trans = model.transitions
     n_ids = trans.n_ids
-    labels = trans.labels
-    label_letter = []    # model label id -> letter id * nb
-    pairs = [None] * n_ids       # state id -> its pair ints, each once
     m = 2 * nb
 
     keys = array("q", [2 * (trans.state_id(model.q_in) * nb
@@ -160,10 +157,9 @@ def build_game(model, nba):
         x, b = divmod(k >> 1, nb)
         if k & 1:
             owner.append(0)
-            lid, s2 = divmod(x, n_ids)
+            code, s2 = divmod(x, n_ids)
             base = m * s2
-            outs = [base + b2
-                    for b2 in b_succ.get(label_letter[lid] + b, ())]
+            outs = [base + b2 for b2 in b_succ.get(code * nb + b, ())]
             if not outs:
                 redirected_p.append(i)
                 outs = (-2,)
@@ -171,17 +167,8 @@ def build_game(model, nba):
             owner.append(1)
             if is_acc[b]:
                 accepting.append(i)
-            ps = pairs[x]
-            if ps is None:
-                # ordered, without repeated pairs
-                ps = pairs[x] = tuple(dict.fromkeys(trans.row(x)))
-                # a label the automaton does not read gets a letter id
-                # without automaton edges
-                for o in labels[len(label_letter):]:
-                    label_letter.append(
-                        nb * letter_ids.setdefault(o, len(letter_ids)))
             shift = 2 * b + 1
-            outs = [m * p + shift for p in ps]
+            outs = [m * p + shift for p in trans.row(x)]
             if not outs:
                 redirected_o.append(i)
                 outs = (-1,)

@@ -14,6 +14,7 @@ for some change point t' in [n*tau, (n+1)*tau); symmetrically for E.
 This module provides:
   * the consistency table (which observations a composite subformula may
     take, given its children's observations),
+  * the integer code of a letter, shared by the model and the game,
   * piecewise-constant ultimately periodic AP-signals, their chopping into
     signal words, and exact dense-time LTL evaluation on them,
   * the unique-run oracle that computes, for a valid signal word, the one
@@ -21,6 +22,7 @@ This module provides:
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,7 +30,7 @@ from .ltl import (NAnd, NFalse, NOr, NRelease, NTrue, NUntil, NegAtom,
                   PosAtom, subformulas)
 
 __all__ = [
-    "OBS", "NEG", "consistency",
+    "OBS", "NEG", "consistency", "letter_code", "letter_of",
     "SignalWord", "is_signal_word", "PiecewiseSignal",
     "chop", "eval_signal", "unique_run_oracle",
     "ValuationLasso",
@@ -102,6 +104,26 @@ def consistency(connective, o1, o2):
     if o1 not in OBS or o2 not in OBS:
         raise ValueError(f"not observations: {o1!r}, {o2!r}")
     return _TABLES[conn][(o1, o2)]
+
+
+# memoized both ways: a query reads few distinct letters, each many times
+@functools.lru_cache(maxsize=4096)
+def letter_code(label, aps=None):
+    """The integer code of a letter, a tuple of (ap, observation) pairs:
+    its k-th digit in base ``len(OBS)`` is the index in ``OBS`` of the
+    k-th AP's observation (the empty letter is 0).  Given ``aps``, a
+    letter whose APs are not ``aps`` in order raises a ValueError."""
+    if aps is not None and tuple(p for p, _ in label) != tuple(aps):
+        raise ValueError(f"letter {label!r} does not list the APs "
+                         f"{tuple(aps)!r} in order")
+    return sum(OBS.index(o) * len(OBS) ** k for k, (_, o) in enumerate(label))
+
+
+@functools.lru_cache(maxsize=4096)
+def letter_of(code, aps):
+    """The letter over ``aps`` whose ``letter_code`` is ``code``."""
+    n = len(OBS)
+    return tuple((p, OBS[code // n ** k % n]) for k, p in enumerate(aps))
 
 
 # ---------------------------------------------------------------------------

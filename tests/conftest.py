@@ -662,7 +662,7 @@ def reference_transitions(spec, aps, drop_multi_change):
                 if not drop_multi_change
                 or sum(o in ("Z", "E") for o in combo) <= 1]
 
-    cells = spec.cells()
+    cells = spec.cells
     transitions = {}
     any_sink = False
     for q in cells:
@@ -718,7 +718,7 @@ def random_spec(draw):
     if draw(st.booleans()):
         probe = SystemSpec(dim, domain, eta, 1.0, x_in, modes, "default", {})
         field = {"kind": "table", "default": "default",
-                 "cells": {c: "other" for c in probe.cells()
+                 "cells": {c: "other" for c in probe.cells
                            if draw(st.booleans())}}
 
     def half_space():

@@ -19,7 +19,7 @@ from apobs.abstraction import (Mode, OutOfDomainError, SINK, SymbolicModel,
                                system_spec_to_json, validate_tau,
                                velocity_extents, _P_E, _P_Z)
 from apobs.game import verify
-from apobs.observations import ChoppingError, UndefinedSlice
+from apobs.observations import ChoppingError, UndefinedSlice, letter_code
 from apobs.scenarios import drone_spec
 from conftest import (drone_model, random_spec, reference_transitions, rho,
                       sampled_trajectory)
@@ -81,7 +81,7 @@ class TestCellClassification:
 
     def test_trichotomy_sampled(self, drone):
         rng = random.Random(51)
-        cells = drone.cells()
+        cells = drone.cells
         for _ in range(1000):
             cell = rng.choice(cells)
             p = rng.choice(sorted(drone.ap_regions))
@@ -187,7 +187,7 @@ class TestReachBox:
 
 class TestSymbolicModel:
     def test_drone_grid_size(self, drone):
-        assert len(drone.cells()) == 1089
+        assert len(drone.cells) == 1089
         model = drone_model(("r",))
         assert model.n_states == 1089
         assert model.q_in == (-10, 13)
@@ -271,8 +271,7 @@ class TestSerialization:
         # into an equal model, with the same transitions in the same order
         model = drone_model(("g", "p", "r"))
         back = SymbolicModel(model.aps, model.states, model.q_in,
-                             dict(model.transitions), model.has_sink,
-                             model.eta, model.tau)
+                             dict(model.transitions), model.has_sink)
         assert list(back.transitions.items()) == \
             list(model.transitions.items())
         assert back == model
@@ -312,8 +311,11 @@ class TestLazyModel:
 
     def test_rows_are_pair_ints(self):
         # state id = position in states (row-major), the sink next; a
-        # transition (o, q2) is label id * n_ids + state_id(q2)
-        model = build_symbolic_model(self._spec())
+        # transition (o, q2) is letter_code(o) * n_ids + state_id(q2), and
+        # a row lists each pair once
+        spec = self._spec()
+        model = build_symbolic_model(spec)
+        assert model.states is spec.cells
         t = model.transitions
         assert t.n_ids == len(model.states) + 1
         assert [t.state_id(q) for q in model.states] == \
@@ -323,10 +325,23 @@ class TestLazyModel:
         assert model.states == tuple(sorted(model.states))
         for q in model.transitions:
             i = t.state_id(q)
-            assert t.row(i) == tuple(
-                t.n_ids * t.labels.index(o) + t.state_id(q2)
+            row = t.row(i)
+            assert row == tuple(
+                t.n_ids * letter_code(o, model.aps) + t.state_id(q2)
                 for o, q2 in model.transitions[q])
-        assert len(set(t.labels)) == len(t.labels)
+            assert len(set(row)) == len(row)
+            assert [t.pair(p) for p in row] == list(model.transitions[q])
+
+    def test_hand_made_label_out_of_order(self):
+        # a code ignores AP names, so a label must list the APs in order
+        q = (0,)
+        good = (("p", "A"), ("q", "N"))
+        SymbolicModel(("p", "q"), (q,), q, {q: ((good, q),)}, False)
+        for bad in ((("q", "N"), ("p", "A")), (("p", "A"),),
+                    (("p", "A"), ("r", "N"))):
+            with pytest.raises(ValueError, match="in order") as e:
+                SymbolicModel(("p", "q"), (q,), q, {q: ((bad, q),)}, False)
+            assert "\n" not in str(e.value)
 
     def test_missing_state(self):
         model = build_symbolic_model(self._spec())

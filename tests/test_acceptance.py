@@ -95,7 +95,7 @@ def test_criterion_03_gfg_reference_automaton():
 
 def test_criterion_04_symbolic_model_size():
     with _criterion(4, "drone scenario has 1089 symbolic states"):
-        assert len(drone_spec().cells()) == 1089
+        assert len(drone_spec().cells) == 1089
         assert drone_model(("r",)).n_states == 1089
 
 

@@ -140,13 +140,19 @@ class TestMalformedSpec:
         (lambda o: o["modes"].update(field={
             "kind": "table", "cells": {"0,0": ["default"]}}),
          "field: a table needs 'cells' mapping each cell to a mode name"),
+        (lambda o: o.update(dim=1, domain=o["domain"][:1],
+                            x_in=o["x_in"][:1]),
+         "field: patrol needs dim 2, not 1"),
+        (lambda o: o["modes"].update(default={"u": [0.5, 0.0]}),
+         "field: patrol needs an angular 'default' mode"),
     ], ids=["missing-modes", "short-domain", "non-numeric-speed", "op-lt",
             "nan-threshold", "string-threshold", "negative-axis",
             "axis-out-of-range", "bool-axis", "nan-speed", "infinite-domain",
             "negative-ev", "negative-etheta", "negative-du", "short-u",
             "short-du", "ev-exceeds-v", "unknown-uniform-mode", "weird-kind",
             "unknown-table-default", "unknown-table-cell",
-            "patrol-without-default", "unhashable-table-cell"])
+            "patrol-without-default", "unhashable-table-cell",
+            "patrol-1d", "patrol-vector-default"])
     def test_one_line_error(self, spec_file, tmp_path, capsys, edit, field):
         obj = json.loads(Path(spec_file).read_text())
         edit(obj)
@@ -284,9 +290,9 @@ class TestBench:
 
     def test_bench_rows_pinned(self, tmp_path, capsys):
         # the nine rows on the built-in drone at eta = 1 (1,089 cells):
-        # verdict, |B| and game P+O.  Rows with the same AP set reuse the
-        # first row's model.  ROADMAP direction 1 (sound labels) will move
-        # the c U b and b R c game sizes.
+        # verdict, |B| and game P+O.  Every row builds its own model.
+        # ROADMAP direction 1 (sound labels) will move the c U b and
+        # b R c game sizes.
         csvf = tmp_path / "bench.csv"
         assert main(["bench", "--csv", str(csvf)]) == EXIT_VERIFIED
         capsys.readouterr()

@@ -103,6 +103,21 @@ class TestBuildGame:
         with pytest.raises(ValueError, match="alphabet mismatch"):
             build_game(model, nba)
 
+    def test_label_out_of_order(self):
+        # same AP set, but an automaton label that lists the APs in
+        # another order than the model: a one-line error, not a letter
+        # that silently matches nothing
+        q = (0,)
+        a = (("p", "A"), ("q", "A"))
+        model = SymbolicModel(("p", "q"), (q,), q, {q: ((a, q),)}, False)
+        nba = Automaton(("p", "q"), frozenset({"b0"}),
+                        frozenset({("b0", a, "b0"),
+                                   ("b0", a[::-1], "b0")}),
+                        "b0", (frozenset({"b0"}),))
+        with pytest.raises(ValueError, match="in order") as e:
+            build_game(model, nba)
+        assert "\n" not in str(e.value)
+
     @pytest.mark.parametrize("n_sets", [0, 2])
     def test_needs_one_accepting_set(self, n_sets):
         model = _one_state_model(_letters("A"))
@@ -176,13 +191,16 @@ class TestBuildGameReference:
             {("P", q2, z, "b0"), ("P", q2, z, "b1")}
 
     def test_repeated_pair(self):
-        # (a, q1) is listed twice by q0 and reached again from q1: one
-        # Player vertex per automaton state
+        # (a, q1) is listed twice by q0 and reached again from q1: q0's
+        # row lists it once, and there is one Player vertex per automaton
+        # state
         a, z = _letters("A", "Z")
         q0, q1 = (0,), (1,)
         model = SymbolicModel(("p",), (q0, q1), q0,
                               {q0: ((a, q1), (z, q0), (a, q1)),
                                q1: ((a, q1), (z, q0))}, False)
+        assert len(model.transitions.row(0)) == 2
+        assert model.transitions[q0] == ((a, q1), (z, q0))
         nba = Automaton(("p",), frozenset({"b0", "b1"}),
                         frozenset({("b0", a, "b0"), ("b0", a, "b1"),
                                    ("b1", z, "b0"), ("b1", a, "b1"),
@@ -216,8 +234,7 @@ class TestBuildGameReference:
         nnf = to_nnf(parse_ltl(formula))
         model, nba = drone_model(atoms(nnf)), translate(nnf)["nba"]
         back = SymbolicModel(model.aps, model.states, model.q_in,
-                             dict(model.transitions), model.has_sink,
-                             model.eta, model.tau)
+                             dict(model.transitions), model.has_sink)
         game, again = build_game(model, nba), build_game(back, nba)
         assert list(again.edges.items()) == list(game.edges.items())
         assert again.owner == game.owner

@@ -9,8 +9,8 @@ from apobs.ltl import NUntil, PosAtom, parse_ltl, subformulas, to_nnf
 from apobs.observations import (NEG, OBS, ChoppingError, IncommensurableError,
                                 MultiChange, PiecewiseSignal, SignalWord,
                                 UndefinedSlice, chop, consistency,
-                                eval_signal, is_signal_word,
-                                unique_run_oracle)
+                                eval_signal, is_signal_word, letter_code,
+                                letter_of, unique_run_oracle)
 from conftest import (_OR_REF, _RELEASE_REF, _formula_observations,
                       formula_observation, rand_nnf, rand_signal)
 
@@ -79,6 +79,28 @@ class TestConsistency:
             consistency("xor", "A", "A")
         with pytest.raises(ValueError):
             consistency("&", "A", "B")
+
+
+class TestLetterCode:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_round_trip(self, k):
+        # the 4^k letters over k APs code to 0 .. 4^k - 1, one each
+        aps = ("a", "b", "c")[:k]
+        codes = []
+        for obs in itertools.product(OBS, repeat=k):
+            letter = tuple(zip(aps, obs))
+            code = letter_code(letter)
+            assert letter_of(code, aps) == letter
+            assert letter_code(letter, aps) == code
+            codes.append(code)
+        assert sorted(codes) == list(range(len(OBS) ** k))
+
+    def test_digits(self):
+        # the k-th AP's observation is the k-th digit in base len(OBS)
+        assert letter_code(()) == 0
+        assert letter_code((("p", "N"),)) == OBS.index("N")
+        assert letter_code((("p", "Z"), ("q", "E"))) == \
+            OBS.index("Z") + len(OBS) * OBS.index("E")
 
 
 class TestSignalWord:
