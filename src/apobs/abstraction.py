@@ -446,11 +446,12 @@ def validate_tau(spec):
 
 class _Transitions(Mapping):
     """Read-only map from a model state to its transitions, stored once as
-    integer rows and decoded when read; nothing decoded is kept.
+    integer rows and decoded when read; of what is decoded only the
+    letters are kept, one per code.
 
     State id i names ``state(i)``: the model's ``states`` in order, then
     any other state (the sink, a successor outside ``states``).  A
-    transition (o, q2) is the pair int ``letter_code(o) * n_ids +
+    transition (o, q2) is the pair int ``letter_code(o, aps) * n_ids +
     state_id(q2)``, and ``row(i)`` is the tuple of state i's pair ints in
     transition order, each pair once.  A model from
     ``build_symbolic_model`` computes a row the first time it is read."""
@@ -461,7 +462,8 @@ class _Transitions(Mapping):
         self.state_id = index        # state -> state id, or None
         self._outgoing = outgoing    # state id -> row, called once per id
         self._rows = [None] * len(ids)
-        self._aps = aps
+        # letter code -> letter: a dict per model, filled on first read
+        self._letter = functools.cache(functools.partial(letter_of, aps=aps))
         self.n_ids = len(ids)
 
     def state(self, i):
@@ -470,7 +472,7 @@ class _Transitions(Mapping):
     def pair(self, p):
         """The transition (label, successor) of pair int ``p``."""
         code, i = divmod(p, self.n_ids)
-        return letter_of(code, self._aps), self._ids[i]
+        return self._letter(code), self._ids[i]
 
     def row(self, i):
         r = self._rows[i]
@@ -482,7 +484,8 @@ class _Transitions(Mapping):
         i = self.state_id(q)
         if i is None or i not in self._keys:
             raise KeyError(q)
-        return tuple(map(self.pair, self.row(i)))
+        letter, ids, n = self._letter, self._ids, self.n_ids
+        return tuple((letter(p // n), ids[p % n]) for p in self.row(i))
 
     def __iter__(self):
         return map(self._ids.__getitem__, self._keys)
@@ -616,7 +619,7 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
             s, s2 = divmod(key, n_sigs)
             chars = list(sig_ids)
             out = labels[key] = tuple(
-                len(ids) * letter_code(o) for o in _labels_for(
+                len(ids) * letter_code(o, aps) for o in _labels_for(
                     chars[s], chars[s2], aps, drop_multi_change))
         return out
 

@@ -106,20 +106,19 @@ def consistency(connective, o1, o2):
     return _TABLES[conn][(o1, o2)]
 
 
-# memoized both ways: a query reads few distinct letters, each many times
+# memoized: a query reads few distinct letters, each many times
 @functools.lru_cache(maxsize=4096)
-def letter_code(label, aps=None):
-    """The integer code of a letter, a tuple of (ap, observation) pairs:
-    its k-th digit in base ``len(OBS)`` is the index in ``OBS`` of the
-    k-th AP's observation (the empty letter is 0).  Given ``aps``, a
+def letter_code(label, aps):
+    """The integer code of a letter, a tuple of (ap, observation) pairs
+    over ``aps``: its k-th digit in base ``len(OBS)`` is the index in
+    ``OBS`` of the k-th AP's observation (the empty letter is 0).  A
     letter whose APs are not ``aps`` in order raises a ValueError."""
-    if aps is not None and tuple(p for p, _ in label) != tuple(aps):
+    if tuple(p for p, _ in label) != tuple(aps):
         raise ValueError(f"letter {label!r} does not list the APs "
                          f"{tuple(aps)!r} in order")
     return sum(OBS.index(o) * len(OBS) ** k for k, (_, o) in enumerate(label))
 
 
-@functools.lru_cache(maxsize=4096)
 def letter_of(code, aps):
     """The letter over ``aps`` whose ``letter_code`` is ``code``."""
     n = len(OBS)

@@ -311,8 +311,8 @@ class TestLazyModel:
 
     def test_rows_are_pair_ints(self):
         # state id = position in states (row-major), the sink next; a
-        # transition (o, q2) is letter_code(o) * n_ids + state_id(q2), and
-        # a row lists each pair once
+        # transition (o, q2) is letter_code(o, aps) * n_ids +
+        # state_id(q2), and a row lists each pair once
         spec = self._spec()
         model = build_symbolic_model(spec)
         assert model.states is spec.cells
@@ -331,6 +331,9 @@ class TestLazyModel:
                 for o, q2 in model.transitions[q])
             assert len(set(row)) == len(row)
             assert [t.pair(p) for p in row] == list(model.transitions[q])
+        # a letter is decoded once per model: every read gives one tuple
+        p = t.row(t.state_id(SINK))[0]
+        assert t.pair(p)[0] is model.transitions[SINK][0][0]
 
     def test_hand_made_label_out_of_order(self):
         # a code ignores AP names, so a label must list the APs in order

@@ -89,17 +89,16 @@ class TestLetterCode:
         codes = []
         for obs in itertools.product(OBS, repeat=k):
             letter = tuple(zip(aps, obs))
-            code = letter_code(letter)
+            code = letter_code(letter, aps)
             assert letter_of(code, aps) == letter
-            assert letter_code(letter, aps) == code
             codes.append(code)
         assert sorted(codes) == list(range(len(OBS) ** k))
 
     def test_digits(self):
         # the k-th AP's observation is the k-th digit in base len(OBS)
-        assert letter_code(()) == 0
-        assert letter_code((("p", "N"),)) == OBS.index("N")
-        assert letter_code((("p", "Z"), ("q", "E"))) == \
+        assert letter_code((), ()) == 0
+        assert letter_code((("p", "N"),), ("p",)) == OBS.index("N")
+        assert letter_code((("p", "Z"), ("q", "E")), ("p", "q")) == \
             OBS.index("Z") + len(OBS) * OBS.index("E")
 
 
