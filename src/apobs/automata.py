@@ -6,10 +6,9 @@ per U/R subformula before ``degeneralize`` and exactly one after it, and
 its initial state is one of its states.  The states of the automaton
 ``build_gba`` makes are a distinguished initial state Q0 and the
 consistent subformula valuations (tuples of observations aligned with the
-subformula closure) reachable from it, generated per signature as the
-exploration from Q0 reaches them.  Transition labels are observation
-maps over the formula's atoms; by construction each edge's label equals
-its target valuation restricted to atoms.
+subformula closure) reachable from it over valid letters, those in which
+at most one AP changes.  Transition labels are observation maps over the
+formula's atoms; each edge's label is its target restricted to atoms.
 """
 from __future__ import annotations
 
@@ -59,7 +58,8 @@ def _position_tables(sub):
     """Per closure position ``(i, j, by_mask)``: ``by_mask[m][v[i], v[j]]``
     are the observations that operands ``v[i]``, ``v[j]`` allow there, of
     those in {E,N} for mask m = 0, in {A,Z} for 1 and all four for 2.  A
-    constant or an atom has no operands: ``i`` is None, the key None."""
+    constant or an atom has no operands: ``i`` is None, and the key True
+    gives the observations that change an atom (Z, E), False the rest."""
     idx = {g: i for i, g in enumerate(sub)}
 
     def by_mask(allowed):
@@ -79,7 +79,9 @@ def _position_tables(sub):
                      for o1 in OBS for o2 in OBS}
         else:
             i = j = None
-            cells = {None: {NTrue: "A", NFalse: "N"}.get(type(g), OBS)}
+            vals = {NTrue: "A", NFalse: "N", PosAtom: OBS}[type(g)]
+            cells = {c: [o for o in vals if (o in "ZE") == c]
+                     for c in (False, True)}
         cols = zip(*map(by_mask, cells.values()))
         out.append((i, j, tuple(dict(zip(cells, col)) for col in cols)))
     return out
@@ -87,27 +89,32 @@ def _position_tables(sub):
 
 def _consistent_targets(tables, mask):
     """The consistent valuations with each observation in the subset
-    ``mask`` picks there (see ``_position_tables``), built bottom-up."""
-    partials = [()]
+    ``mask`` picks there (see ``_position_tables``) and at most one atom
+    in {Z,E} (a valid letter: at most one AP changes), built bottom-up."""
+    still, moved = [()], []  # partials with no atom in {Z,E}, with one
     for (i, j, by_mask), m in zip(tables, mask):
         allowed = by_mask[m]
         if i is None:
-            partials = [v + (o,) for v in partials for o in allowed[None]]
+            stay, change = allowed[False], allowed[True]
+            moved = ([v + (o,) for v in moved for o in stay]
+                     + [v + (o,) for v in still for o in change])
+            still = [v + (o,) for v in still for o in stay]
         else:
-            partials = [v + (o,) for v in partials
-                        for o in allowed[v[i], v[j]]]
-    return partials
+            still = [v + (o,) for v in still for o in allowed[v[i], v[j]]]
+            moved = [v + (o,) for v in moved for o in allowed[v[i], v[j]]]
+    return still + moved
 
 
 def build_gba(f):
     """Build the generalized AP-observation automaton for an NNF formula.
 
     Its states are the initial state Q0 and the consistent valuations
-    reachable from it; the accepting sets hold valuations only.  An edge
-    v -> v2 exists when v's source signature (per subformula: is it true
-    at the slice's end, in {A,E}?) equals v2's target signature (true at
-    the start, in {A,Z}?).  A signature's targets are generated when a
-    reached valuation first has it, so no unreached one is ever made.
+    reachable from it over valid letters; the accepting sets hold
+    valuations only.  An edge v -> v2 exists when v2's letter is valid and
+    v's source signature (per subformula: true at the slice's end, in
+    {A,E}?) equals v2's target signature (true at the start, in {A,Z}?).
+    A signature's targets are generated when a reached valuation first
+    has it, so no unreached valuation or invalid edge is ever made.
     """
     if not isinstance(f, Nnf):
         f = to_nnf(f)
@@ -143,15 +150,11 @@ def build_gba(f):
     accepting = []
     accepting_for = []
     for g in sub:
-        if isinstance(g, NUntil):
+        if isinstance(g, (NUntil, NRelease)):
             i, r = idx[g], idx[g.right]
+            x, y = ("N", "A") if isinstance(g, NUntil) else ("A", "N")
             accepting.append(frozenset(
-                v for v in states if v[r] != "N" or v[i] != "A"))
-            accepting_for.append(formula_str(g))
-        elif isinstance(g, NRelease):
-            i, r = idx[g], idx[g.right]
-            accepting.append(frozenset(
-                v for v in states if v[r] != "A" or v[i] != "N"))
+                v for v in states if v[r] != x or v[i] != y))
             accepting_for.append(formula_str(g))
 
     return Automaton(aps, frozenset(states | {Q0}), frozenset(edges), Q0,
@@ -192,8 +195,8 @@ def trim(a):
     c(true) = A and c(false) = N.  For every connective and consistent
     (o1, o2, o), c(end(o)) is allowed for (c(end(o1)), c(end(o2))), and
     end(NEG[o]) = not end(o).  c(end(v))'s target signature is v's source
-    signature and its letter changes no AP, so the edge is a valid letter
-    and ``restrict_valid_letters`` keeps it."""
+    signature and its letter changes no AP, so it is a valid letter and
+    ``build_gba`` makes the edge."""
     live = _reachable(a.successors(), a.initial)
     return replace(
         a, states=frozenset(live),
@@ -391,19 +394,16 @@ def accepts_lasso(a, w):
 # Pipeline and DOT export
 
 def translate(f):
-    """Full formula-side pipeline: build the part reachable from Q0,
-    restrict to valid signal-word letters, trim to the part still
-    reachable, minimize, degeneralize.  Returns a dict with all
+    """Full formula-side pipeline: build over valid letters, restrict to
+    valid letters, trim, minimize, degeneralize.  Returns a dict with all
     intermediate automata under "gba", "trimmed", "minimized" and "nba".
 
-    ``build_gba`` already keeps only valuations reachable from Q0 over all
-    letters; ``trim`` then drops what becomes unreachable once the invalid
-    letters are gone.  No state is dead at any stage: every reached
-    valuation has a successor over a letter that changes no AP (the lemma
-    in ``trim``'s docstring).  States without accepting continuations are
-    kept (they are harmless for language and membership checks).  This
-    exact stage combination reproduces the published per-formula
-    automaton sizes.
+    ``build_gba`` makes only valid edges and reachable states, so the
+    restriction and the trim return it unchanged; they stay as the stages
+    the per-layer trace times.  No state is dead at any stage (the lemma in
+    ``trim``'s docstring).  States without accepting continuations are
+    kept; they are harmless for language and membership checks.  This
+    stage combination reproduces the published per-formula automaton sizes.
     """
     raw = build_gba(f)
     trimmed = trim(restrict_valid_letters(raw))

@@ -111,9 +111,9 @@ def _consistent_valuations_bottomup(sub):
 
 def full_gba_reference(f):
     """The generalized automaton over every consistent valuation, with
-    every edge the transition condition allows, reachable from Q0 or not:
-    the construction ``build_gba`` restricts to the part reachable from
-    Q0."""
+    every edge the transition condition allows, valid letter or not,
+    reachable from Q0 or not: ``build_gba`` makes its part reachable from
+    Q0 over valid letters."""
     if not isinstance(f, Nnf):
         f = to_nnf(f)
     sub = subformulas(f)

@@ -10,12 +10,13 @@ from apobs.automata import (Automaton, Q0, _consistent_targets,
                             minimize, restrict_valid_letters, translate,
                             trim)
 from apobs.cli import BENCH_FORMULAS
-from apobs.ltl import formula_str, parse_ltl, subformulas, to_nnf, atoms
+from apobs.ltl import (NFalse, NTrue, PosAtom, atoms, formula_str,
+                       parse_ltl, subformulas, to_nnf)
 from apobs.observations import SignalWord, chop, eval_signal
 from conftest import (_consistent_valuations_bottomup,
                       _consistent_valuations_bruteforce, _gfg_reference,
-                      full_gba_reference, gba_isomorphic, prune, rand_nnf,
-                      rand_signal, trim_reference)
+                      full_gba_reference, gba_isomorphic, prune,
+                      rand_formula, rand_nnf, rand_signal, trim_reference)
 
 DEEP_FORMULAS = ("G r & F (g & F (p & F (c & F b)))",
                  "G F g & G F p & G F c & G r")
@@ -49,14 +50,17 @@ class TestBuildGba:
 
     def test_targets_per_signature(self):
         # the generator build_gba calls per source signature lists exactly
-        # the consistent valuations with that target signature (in {A,Z}
-        # per subformula), none for a signature no valuation has, and for
-        # Q0 exactly those whose root is in {A,Z}
+        # the consistent valuations of a valid letter (at most one atom in
+        # {Z,E}) with that target signature (in {A,Z} per subformula), none
+        # for a signature no such valuation has, and for Q0 exactly those
+        # whose root is in {A,Z}
         rng = random.Random(41)
         for _ in range(40):
             sub = subformulas(rand_nnf(rng, 2, ("p", "q")))
             tables = _position_tables(sub)
-            valuations = _consistent_valuations_bruteforce(sub)
+            atom_pos = [k for k, g in enumerate(sub) if isinstance(g, PosAtom)]
+            valuations = [v for v in _consistent_valuations_bruteforce(sub)
+                          if sum(v[k] in "ZE" for k in atom_pos) <= 1]
             by_sig = {}
             for v in valuations:
                 sig = tuple(int(o in "AZ") for o in v)
@@ -92,8 +96,8 @@ def _reachable_part(a):
 
 
 class TestForwardBuild:
-    """``build_gba`` explores from Q0; the eager reference builds every
-    consistent valuation and every edge."""
+    """``build_gba`` explores from Q0 over valid letters; the eager
+    reference builds every consistent valuation and every edge."""
 
     @pytest.fixture(scope="class")
     def cases(self):
@@ -101,8 +105,8 @@ class TestForwardBuild:
         formulas = [rand_nnf(rng, 3, ("p", "q", "r")) for _ in range(150)]
         formulas += [to_nnf(parse_ltl(f))
                      for f in BENCH_FORMULAS + DEEP_FORMULAS]
-        # all 6,001 valuations of this one are reachable, so build_gba
-        # generates the targets of every signature
+        # all 6,001 valuations of this one are reachable over all letters,
+        # 1,876 over valid letters
         formulas.append(to_nnf(parse_ltl(f"!({DEEP_FORMULAS[1]})")))
         return [(f, full_gba_reference(f)) for f in formulas]
 
@@ -110,7 +114,7 @@ class TestForwardBuild:
         smaller = 0
         for f, ref in cases:
             a = build_gba(f)
-            part = _reachable_part(ref)
+            part = _reachable_part(restrict_valid_letters(ref))
             assert a.states == part.states, formula_str(f)
             assert a.edges == part.edges, formula_str(f)
             assert a.accepting == part.accepting, formula_str(f)
@@ -128,17 +132,48 @@ class TestForwardBuild:
             assert art["minimized"] == minimized, formula_str(f)
             assert art["nba"] == degeneralize(minimized), formula_str(f)
 
-    def test_deep_formula_sizes(self):
+    def test_deep_formula_sizes(self, cases):
         f = to_nnf(parse_ltl(DEEP_FORMULAS[0]))
-        raw = build_gba(f)
-        assert (raw.n_states, len(raw.edges)) == (1857, 31016)
-        restricted = restrict_valid_letters(raw)
+        ref = _reachable_part(dict(cases)[f])
+        assert (ref.n_states, len(ref.edges)) == (1857, 31016)
+        restricted = restrict_valid_letters(ref)
         assert len(restricted.edges) == 9649
         trimmed = trim(restricted)
         assert (trimmed.n_states, len(trimmed.edges)) == (581, 3269)
+        raw = build_gba(f)
+        assert raw == trimmed
+        assert restrict_valid_letters(raw) == raw and trim(raw) == raw
         minimized = minimize(trimmed)
         assert minimized.n_states == 237
         assert degeneralize(minimized).n_states == 1147
+
+    def test_negated_deep_formula_sizes(self):
+        # over all letters 11,137 valuations and 366,168 edges are
+        # reachable; valid letters reach only these
+        art = translate(to_nnf(parse_ltl(f"!({DEEP_FORMULAS[0]})")))
+        assert (art["gba"].n_states, len(art["gba"].edges)) == (2089, 14247)
+        assert art["nba"].n_states == 3965
+
+    def test_build_is_restricted_and_trimmed(self):
+        # every edge build_gba makes reads a valid letter and every state
+        # is reachable, so translate's restriction and trim are identities
+        rng = random.Random(71)
+        formulas = [rand_nnf(rng, 3, ("p", "q", "r")) for _ in range(60)]
+        consts = []
+        while len(consts) < 30:
+            f = to_nnf(rand_formula(rng, 3, ("p", "q", "r")))
+            if len(atoms(f)) >= 2 and any(
+                    isinstance(g, (NTrue, NFalse)) for g in subformulas(f)):
+                consts.append(f)
+        formulas += consts + [to_nnf(parse_ltl(f)) for f in (
+            "true U (p & q)", "false R (p | !q)", "(p & true) U (q | false)",
+            "G (p | false) & F (q & true) & r")]
+        for f in formulas:
+            a = build_gba(f)
+            for _, o, _ in a.edges:
+                assert sum(v in "ZE" for _, v in o) <= 1, formula_str(f)
+            assert restrict_valid_letters(a) == a, formula_str(f)
+            assert trim(a) == a, formula_str(f)
 
 
 def _dead_chain():
@@ -186,7 +221,7 @@ class TestPipelineStages:
         assert a.edges == frozenset()
 
     def test_restrict_valid_letters(self):
-        a = build_gba(to_nnf(parse_ltl("p U q")))
+        a = full_gba_reference(to_nnf(parse_ltl("p U q")))
         r = restrict_valid_letters(a)
         assert all(sum(1 for _, v in o if v in ("Z", "E")) <= 1
                    for _, o, _ in r.edges)
@@ -199,13 +234,14 @@ class TestPipelineStages:
             assert adj.get(s)
 
     def test_trim_equals_definition(self):
-        # on the pipeline's automata the reachable part has no dead state,
-        # so trim equals the reference that also removes dead states; on
-        # the sparse random automata it is the reachable part
+        # on the eager reference over valid letters the reachable part has
+        # no dead state, so trim equals the reference that also removes
+        # dead states; on the sparse random automata it is the reachable part
         rng = random.Random(59)
         formulas = [rand_nnf(rng, 3, ("p", "q")) for _ in range(60)]
         shrunk = 0
-        for a in [restrict_valid_letters(build_gba(f)) for f in formulas]:
+        for a in [restrict_valid_letters(full_gba_reference(f))
+                  for f in formulas]:
             t = trim(a)
             live = trim_reference(a)
             assert t.states == live, a
@@ -235,13 +271,15 @@ class TestPipelineStages:
             (frozenset({"b", "x"}),))
 
     def test_degeneralize_trims_its_input(self):
-        # the pipeline's automata have unreachable states but no dead ones:
-        # the dead chain and the sparse random automata supply those
+        # the eager reference over valid letters has unreachable states but
+        # no reachable dead ones: the dead chain and the sparse random
+        # automata supply those
         rng = random.Random(67)
         cases = [_dead_chain()]
         for _ in range(60):
-            raw = build_gba(rand_nnf(rng, 3, ("p", "q")))
-            cases += [raw, restrict_valid_letters(raw)]
+            f = rand_nnf(rng, 3, ("p", "q"))
+            cases += [build_gba(f),
+                      restrict_valid_letters(full_gba_reference(f))]
         cases += [_rand_sparse(rng) for _ in range(100)]
         dead = 0
         for a in cases:
