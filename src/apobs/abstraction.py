@@ -18,6 +18,8 @@ import json
 import math
 import numbers
 import random
+import weakref
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -112,7 +114,7 @@ class Mode:
     du: tuple = None
 
     def __post_init__(self):
-        # tuples keep a mode hashable: velocity_extents is memoized on it
+        # tuples keep a mode hashable: step tables are keyed by it
         for name in ("u", "du"):
             value = getattr(self, name)
             if value is not None:
@@ -126,6 +128,18 @@ class Mode:
         return self.v + self.ev
 
 
+class _Filled(dict):
+    """A dict that computes a missing value from its key, once."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self._fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self._fill(key)
+        return value
+
+
 def _finite(x):
     """Is ``x`` a finite real number?  A bool is not one."""
     return (isinstance(x, numbers.Real) and not isinstance(x, bool)
@@ -135,8 +149,9 @@ def _finite(x):
 @dataclass(frozen=True)
 class SystemSpec:
     """A grid-quantized system.  A spec is treated as immutable: the grid
-    ranges, the cells, ``v_max`` and the canonical JSON text are computed
-    once per instance and kept (``dataclasses.replace`` makes a new one)."""
+    ranges, the cells, ``v_max``, the step tables and the canonical JSON
+    text are computed once per instance and kept (``dataclasses.replace``
+    makes a new one)."""
     dim: int
     domain: tuple           # ((lo, hi), ...) per axis
     eta: float
@@ -216,9 +231,20 @@ class SystemSpec:
 
     @functools.cached_property
     def v_max(self):
-        """Largest speed bound over the modes of all cells."""
-        return max((mode_for_cell(self, c).v_max for c in self.cells),
-                   default=0.0)
+        """Largest speed bound over the modes the field gives the cells
+        (see ``mode_for_cell``): a patrol cell's bound is its default
+        mode's, and a table key outside the grid names no cell's mode."""
+        f = self.field
+        if not self.cells:
+            return 0.0
+        if isinstance(f, str):
+            names = {f}
+        elif f["kind"] == "patrol":
+            names = {"default"}
+        else:
+            table, default = f["cells"], f.get("default", "default")
+            names = {table.get(c, default) for c in self.cells}
+        return max(self.modes[name].v_max for name in names)
 
     @functools.cached_property
     def json_text(self):
@@ -231,21 +257,31 @@ class SystemSpec:
         return tuple(itertools.product(
             *(range(kmin, kmax + 1) for kmin, kmax in self.grid_ranges)))
 
-    def cell_box(self, cell):
-        """Closed box of a grid cell, k*eta +- eta/2 per axis.  A boundary
-        cell reaches the domain edge, so the cells cover the domain even
-        when eta does not divide it; no box is ever shrunk."""
+    @functools.cached_property
+    def _steps(self):
+        """mode -> its ``_step_tables``, computed when first read.  The
+        fill holds the spec weakly: a spec in no reference cycle is freed
+        as soon as it is dropped."""
+        spec = weakref.ref(self)
+        return _Filled(lambda mode: _step_tables(spec(), mode))
+
+    def axis_interval(self, a, k):
+        """Closed interval of cell index k on axis a, k*eta +- eta/2.  A
+        boundary cell reaches the domain edge, so the cells cover the
+        domain even when eta does not divide it; no interval is ever
+        shrunk."""
+        (kmin, kmax), (dlo, dhi) = self.grid_ranges[a], self.domain[a]
         h = self.eta / 2
-        box = []
-        for k, (kmin, kmax), (dlo, dhi) in zip(cell, self.grid_ranges,
-                                               self.domain):
-            lo, hi = k * self.eta - h, k * self.eta + h
-            if k == kmin:
-                lo = min(lo, dlo)
-            if k == kmax:
-                hi = max(hi, dhi)
-            box.append((lo, hi))
-        return box
+        lo, hi = k * self.eta - h, k * self.eta + h
+        if k == kmin:
+            lo = min(lo, dlo)
+        if k == kmax:
+            hi = max(hi, dhi)
+        return lo, hi
+
+    def cell_box(self, cell):
+        """Closed box of a grid cell: its ``axis_interval`` per axis."""
+        return [self.axis_interval(a, k) for a, k in enumerate(cell)]
 
 
 def mode_for_cell(spec, cell):
@@ -330,10 +366,8 @@ def _angle_candidates(theta, etheta):
     return cands
 
 
-@functools.lru_cache(maxsize=1024)
 def velocity_extents(mode, dim):
-    """Per-axis [min, max] of the admissible velocity set, as a tuple.
-    Memoized: a field has few distinct modes but many cells."""
+    """Per-axis [min, max] of the admissible velocity set, as a tuple."""
     if mode.u is not None:
         du = mode.du or (0.0,) * dim
         return tuple((mode.u[a] - du[a], mode.u[a] + du[a])
@@ -388,6 +422,37 @@ def reach_box(spec, cell):
             exits = True
         box.append((blo, bhi))
     return box, exits
+
+
+def _step_tables(spec, mode):
+    """Per axis, the one-step reach of every cell index in ``mode``, as
+    ``reach_box`` and the grid cut of ``build_symbolic_model`` compute
+    it from the index and the mode's velocity extent on the axis: three
+    entries per index, the row-major id offsets of the first and the end
+    successor index, and whether the step can leave the domain."""
+    h = spec.eta / 2
+    slack = 1e-9 * spec.eta
+    tables = []
+    for a, (vlo, vhi) in enumerate(velocity_extents(mode, spec.dim)):
+        (kmin, kmax), (dlo, dhi) = spec.grid_ranges[a], spec.domain[a]
+        stride = math.prod(hi - lo + 1 for lo, hi in spec.grid_ranges[a + 1:])
+        t = array("q")
+        for k in range(kmin, kmax + 1):
+            lo, hi = spec.axis_interval(a, k)
+            blo = lo + spec.tau * vlo
+            bhi = hi + spec.tau * vhi
+            lo_k = math.ceil((blo - h) / spec.eta - 1e-9)
+            hi_k = math.floor((bhi + h) / spec.eta + 1e-9)
+            # the boundary cells reach the domain edge (see axis_interval)
+            if blo <= dhi + slack:
+                lo_k = min(lo_k, kmax)
+            if bhi >= dlo - slack:
+                hi_k = max(hi_k, kmin)
+            t.extend((stride * (max(lo_k, kmin) - kmin),
+                      stride * (min(hi_k, kmax) + 1 - kmin),
+                      blo < dlo - 1e-9 or bhi > dhi + 1e-9))
+        tables.append(t)
+    return tuple(tables)
 
 
 @dataclass(frozen=True)
@@ -571,16 +636,24 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
     (single-change assumption; pass drop_multi_change=False to keep them).
     Requires a passing validate_tau unless ``force``.
 
-    A transition's labels depend only on the signatures of its two ends,
-    the classification of every tracked AP on the cell (all '?' on the
-    sink), numbered by a small int.  Their letter codes are computed once
-    per pair of signatures, and a row is made from them and the
-    successors' ids, which are cell-index arithmetic: no tuple per
-    transition.  The successors are distinct, and so are the labels of
-    each, so a row lists each pair once.
+    A row is made by table lookups.  A half-space reads a cell only
+    through the cell's ``axis_interval`` on its axis, so the indices of
+    an axis fall into classes by their threshold comparisons there.  A
+    signature (every tracked AP classified '+', '-' or '?'; all '?' on
+    the sink), numbered by a small int, is computed once per combination
+    of classes, and a table gives every cell its signature.  The reach
+    box and the grid cut read a cell on an axis only through its index
+    and its mode's velocity extent there, so the spec keeps a step table
+    per mode and axis (``_step_tables``) that gives every index its first
+    and end successor and whether the step can leave the domain; the sink
+    check reads the same flags.  A row is the successors' row-major ids,
+    each plus the letter codes of the labels of its signature pair,
+    computed once per pair: no tuple per transition.  The successors are
+    distinct, and so are the labels of each, so a row lists each pair
+    once.
 
-    Up front only the tau check and the sink check run.  A cell's row
-    (and its signature) is computed the first time it is read, so a game
+    Up front only the tau check, the signature table and the sink check
+    run.  A cell's row is computed the first time it is read, so a game
     explored from ``q_in`` builds only the cells it reaches; iterating
     ``transitions`` computes the rest.
     """
@@ -600,76 +673,87 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
     cells = spec.cells
     sink = len(cells)            # the sink's id, if there is a sink
     regions = [spec.ap_regions[p] for p in aps]
-    n_sigs = 3 ** len(aps)
+    intervals = [[spec.axis_interval(a, k) for k in range(kmin, kmax + 1)]
+                 for a, (kmin, kmax) in enumerate(spec.grid_ranges)]
+    # (kmin, row-major stride) per axis
+    shape = [(kmin, math.prod(map(len, intervals[a + 1:])))
+             for a, (kmin, _) in enumerate(spec.grid_ranges)]
+
+    # the class of an index on its axis: the first index there with the
+    # same comparisons as box_vs_region makes them
+    classes = []
+    for a, ivs in enumerate(intervals):
+        cuts = {(op, c) for conj in itertools.chain(*regions)
+                for b, op, c in conj if b == a}
+        first = {}
+        classes.append([first.setdefault(tuple(
+            (hi > c, lo > c) if op == "le" else (lo < c, hi < c)
+            for op, c in cuts), x) for x, (lo, hi) in enumerate(ivs)])
     sig_ids = {("?",) * len(aps): 0}  # signature -> small int; sink's is 0
-    sigs = [None] * sink
-    labels = {}                  # s * n_sigs + s2 -> letter codes * n_ids
 
-    def signature(i):
-        s = sigs[i]
-        if s is None:
-            box = spec.cell_box(cells[i])
-            s = sigs[i] = sig_ids.setdefault(
-                tuple(box_vs_region(r, box) for r in regions), len(sig_ids))
-        return s
+    def signature(combo):
+        box = [ivs[x] for ivs, x in zip(intervals, combo)]
+        return sig_ids.setdefault(
+            tuple(box_vs_region(r, box) for r in regions), len(sig_ids))
 
-    def labels_for(key):
-        out = labels.get(key)
-        if out is None:
-            s, s2 = divmod(key, n_sigs)
-            chars = list(sig_ids)
-            out = labels[key] = tuple(
-                len(ids) * letter_code(o, aps) for o in _labels_for(
-                    chars[s], chars[s2], aps, drop_multi_change))
-        return out
+    n_combos = math.prod(len(set(xs)) for xs in classes)
+    sig = array("B" if n_combos < 256 else "L", map(
+        _Filled(signature).__getitem__, itertools.product(*classes)))
+    sig.append(0)                # the sink's
+    n_sigs = len(sig_ids)
 
-    h = spec.eta / 2
-    slack = 1e-9 * spec.eta
-    axes = list(zip(spec.grid_ranges, spec.domain))
+    def pair_labels(key):
+        s, s2 = divmod(key, n_sigs)
+        chars = list(sig_ids)
+        return tuple(n_ids * letter_code(o, aps) for o in _labels_for(
+            chars[s], chars[s2], aps, drop_multi_change))
+
+    labels = _Filled(pair_labels)  # s * n_sigs + s2 -> codes * n_ids
+    steps = spec._steps
+
+    def successors(i):
+        """Cell i's successor ids in row-major order, the sink last."""
+        cell = cells[i]
+        succ = [0]
+        out = False
+        for t, k, (kmin, stride) in zip(steps[mode_for_cell(spec, cell)],
+                                        cell, shape):
+            x = 3 * (k - kmin)
+            out = out or t[x + 2]
+            succ = [j + m for j in succ for m in range(t[x], t[x + 1], stride)]
+        if out:
+            succ.append(sink)
+        return succ
+
+    def exits(cell):
+        return any(t[3 * (k - kmin) + 2] for t, k, (kmin, _) in
+                   zip(steps[mode_for_cell(spec, cell)], cell, shape))
 
     def outgoing(i):
         if i == sink:
-            return tuple(c + sink for c in labels_for(0))
-        box, exits = reach_box(spec, cells[i])
-        succ = [0]
-        for (blo, bhi), ((kmin, kmax), (dlo, dhi)) in zip(box, axes):
-            lo_k = math.ceil((blo - h) / spec.eta - 1e-9)
-            hi_k = math.floor((bhi + h) / spec.eta + 1e-9)
-            # the boundary cells reach the domain edge (see cell_box)
-            if blo <= dhi + slack:
-                lo_k = min(lo_k, kmax)
-            if bhi >= dlo - slack:
-                hi_k = max(hi_k, kmin)
-            # row-major ids, one axis at a time (Horner's scheme)
-            succ = [j * (kmax - kmin + 1) + k - kmin for j in succ
-                    for k in range(max(lo_k, kmin), min(hi_k, kmax) + 1)]
-        s = n_sigs * signature(i)
-        row = []
-        for j in succ:
-            row.extend([c + j for c in labels_for(s + signature(j))])
-        if exits:
-            row.extend([c + sink for c in labels_for(s)])
-        return tuple(row)
+            s, succ = 0, (sink,)
+        else:
+            s, succ = n_sigs * sig[i], successors(i)
+        return tuple([c + j for j in succ for c in labels[s + sig[j]]])
 
     def state_id(q):
         """The row-major index of a cell, the sink's id, or None."""
         if q == SINK:
             return sink if has_sink else None
-        i = 0
         try:
-            for k, ((kmin, kmax), _) in zip(q, axes):
-                i = i * (kmax - kmin + 1) + k - kmin
+            i = sum((k - kmin) * stride for k, (kmin, stride) in zip(q, shape))
             return i if 0 <= i < sink and cells[i] == q else None
         except TypeError:
             return None
 
-    has_sink = any(reach_box(spec, q)[1] for q in cells)
+    has_sink = any(map(exits, cells))
     ids = cells + (SINK,) if has_sink else cells
+    n_ids = len(ids)
     # the closures hold no reference to the map: a model is freed as soon
     # as it is dropped, without waiting for the cycle collector
     return SymbolicModel(aps, cells, gamma(spec.x_in, spec),
-                         _Transitions(ids, range(len(ids)), state_id,
-                                      outgoing, aps),
+                         _Transitions(ids, range(n_ids), state_id, outgoing,
+                                      aps),
                          has_sink)
 
 

@@ -683,12 +683,13 @@ def reference_transitions(spec, aps, drop_multi_change):
 
 
 @st.composite
-def _interval(draw, eta):
+def _interval(draw, eta, max_k=4):
     """Domain (lo, hi) of one axis whose edges fall between grid points,
     so the boundary cells either overhang the domain or stop short of
     it."""
     def edge():
-        return (draw(st.integers(1, 4)) + draw(st.floats(0.05, 0.95))) * eta
+        return ((draw(st.integers(1, max_k)) + draw(st.floats(0.05, 0.95)))
+                * eta)
     return -edge(), edge()
 
 
@@ -733,6 +734,40 @@ def random_spec(draw):
     spec = SystemSpec(dim, domain, eta, 1.0, x_in, modes, field, aps)
     tau = draw(st.floats(0.1, 1.5))
     return dataclasses.replace(spec, tau=min(tau, validate_tau(spec).tau_max))
+
+
+@st.composite
+def edge_spec(draw):
+    """A small 1-, 2- or 3-D spec whose AP thresholds all sit exactly on
+    a cell edge, k*eta - eta/2 or k*eta + eta/2 (the floats of
+    ``axis_interval``), or on a domain edge, with a uniform or table
+    field and any tau (build it with ``force=True``)."""
+    dim = draw(st.integers(1, 3))
+    eta = draw(st.sampled_from((0.5, 0.6, 0.7, 1.0)))
+    domain = tuple(draw(_interval(eta, max_k=5 - dim)) for _ in range(dim))
+    x_in = tuple(draw(st.floats(lo, hi)) for lo, hi in domain)
+    modes = {"default": draw(_mode(dim)), "other": draw(_mode(dim))}
+    probe = SystemSpec(dim, domain, eta, 1.0, x_in, modes, "default", {})
+    field = "default"
+    if draw(st.booleans()):
+        field = {"kind": "table", "default": "default",
+                 "cells": {c: "other" for c in probe.cells
+                           if draw(st.booleans())}}
+    edges = [sorted({*(k * eta - eta / 2 for k in range(kmin, kmax + 1)),
+                     *(k * eta + eta / 2 for k in range(kmin, kmax + 1)),
+                     *domain[a]})
+             for a, (kmin, kmax) in enumerate(probe.grid_ranges)]
+
+    def half_space():
+        a = draw(st.integers(0, dim - 1))
+        return (a, draw(st.sampled_from(("le", "ge"))),
+                draw(st.sampled_from(edges[a])))
+    aps = {f"p{i}": tuple(tuple(half_space()
+                                for _ in range(draw(st.integers(1, 2))))
+                          for _ in range(draw(st.integers(1, 2))))
+           for i in range(draw(st.integers(1, 3)))}
+    return SystemSpec(dim, domain, eta, draw(st.floats(0.1, 1.5)), x_in,
+                      modes, field, aps)
 
 
 def sampled_trajectory(spec, horizon, seed, tracked_aps=None):

@@ -1,4 +1,6 @@
 """Grid quantization, cell classification, reachability, and simulation."""
+import hashlib
+import itertools
 import math
 import os
 import random
@@ -21,8 +23,8 @@ from apobs.abstraction import (Mode, OutOfDomainError, SINK, SymbolicModel,
 from apobs.game import verify
 from apobs.observations import ChoppingError, UndefinedSlice, letter_code
 from apobs.scenarios import drone_spec
-from conftest import (drone_model, random_spec, reference_transitions, rho,
-                      sampled_trajectory)
+from conftest import (drone_model, edge_spec, random_spec,
+                      reference_transitions, rho, sampled_trajectory)
 
 
 def _exact_refines_sampler(spec, horizon, seed, tracked_aps=None):
@@ -366,6 +368,83 @@ class TestLazyModel:
             list(fresh.transitions.items())
 
 
+class TestRowTables:
+    """Rows come from per-axis signature classes and step tables; they are
+    the rows of the per-cell geometry, in order."""
+
+    def test_drone_rows_pinned(self):
+        # sha256 of every row, in order, of the eta = 0.25 drone over
+        # (g, p, r), as computed by the per-cell build
+        model = build_symbolic_model(drone_spec(eta=0.25),
+                                     tracked_aps=("g", "p", "r"))
+        t = model.transitions
+        rows = [t.row(i) for i in range(t.n_ids)]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "c9bf55586b1719bb6ff6e92d59be6f6ff3b5b9356e25497d43f2ad1baaff5ffc")
+
+    @settings(derandomize=True, database=None, max_examples=150,
+              deadline=None)
+    @given(spec=edge_spec(), drop=st.booleans())
+    def test_thresholds_on_edges_equal_reference(self, spec, drop):
+        # a threshold on a cell or domain edge splits the comparisons
+        # hi > c, lo > c (or lo < c, hi < c) of the cells next to it
+        aps = tuple(sorted(spec.ap_regions))
+        model = build_symbolic_model(spec, drop_multi_change=drop,
+                                     force=True)
+        ref = reference_transitions(spec, aps, drop)
+        assert list(model.transitions) == list(ref)
+        assert model.transitions == ref
+
+
+class TestVMax:
+    """``SystemSpec.v_max`` reads the modes the field resolves on the
+    grid; it equals the largest bound over every cell's mode."""
+
+    @staticmethod
+    def _per_cell(spec):
+        return max((mode_for_cell(spec, c).v_max for c in spec.cells),
+                   default=0.0)
+
+    def _table(self, cells, default):
+        return SystemSpec(
+            dim=2, domain=((-2.5, 2.5),) * 2, eta=1.0, tau=1.0,
+            x_in=(0.0, 0.0),
+            modes={"default": Mode(u=(0.5, 0.0)), "mid": Mode(u=(1.0, -1.5)),
+                   "fast": Mode(u=(3.0, 0.0))},
+            field={"kind": "table", "cells": cells, "default": default},
+            ap_regions={})
+
+    def test_drone(self):
+        for eta in (1.0, 0.5):
+            spec = drone_spec(eta=eta)
+            assert spec.v_max == self._per_cell(spec) == 4.1
+
+    def test_table_key_outside_the_grid(self):
+        # (9, 9) is no cell, so its faster mode is no cell's mode
+        spec = self._table({(9, 9): "fast", (0, 1): "mid"}, "default")
+        assert spec.v_max == self._per_cell(spec) == 1.5
+
+    def test_table_covering_every_cell(self):
+        # the default names the fastest mode but no cell uses it
+        spec = self._table({c: "mid" for c in itertools.product(
+            range(-2, 3), repeat=2)}, "fast")
+        assert spec.v_max == self._per_cell(spec) == 1.5
+
+    def test_empty_grid(self):
+        spec = SystemSpec(
+            dim=1, domain=((0.1, 0.2),), eta=1.0, tau=1.0, x_in=(0.15,),
+            modes={"default": Mode(u=(2.0,))}, field="default",
+            ap_regions={})
+        assert spec.cells == ()
+        assert spec.v_max == self._per_cell(spec) == 0.0
+
+    @settings(derandomize=True, database=None, max_examples=100,
+              deadline=None)
+    @given(spec=random_spec())
+    def test_random_specs(self, spec):
+        assert spec.v_max == self._per_cell(spec)
+
+
 class TestGridCoverage:
     """The cells cover the domain when eta does not divide it."""
 
@@ -391,6 +470,19 @@ class TestGridCoverage:
         spec = self._spec(1.42, 15.06, 1.0, {"far": (((0, "ge", 100.0),),)})
         cells, word = simulate_trajectory(spec, 1, seed=0)
         assert cells == [(22,), (23,)]
+        assert is_run_of(build_symbolic_model(spec), cells, word)
+
+    def test_reach_box_starting_on_the_domain_edge(self):
+        # from cell 1 the reach box starts at 0.5 + 2.4 = 2.9, exactly the
+        # domain edge and past the last cell's nominal box [1.5, 2.5]; the
+        # end point 2.9 is clamped into cell 2
+        spec = SystemSpec(
+            dim=1, domain=((-2.5, 2.9),), eta=1.0, tau=1.0, x_in=(0.5,),
+            modes={"default": Mode(u=(2.4,))}, field="default",
+            ap_regions={"far": (((0, "ge", 100.0),),)})
+        assert reach_box(spec, (1,))[0] == [(2.9, 3.9)]
+        cells, word = simulate_trajectory(spec, 1, seed=0)
+        assert cells == [(1,), (2,)]
         assert is_run_of(build_symbolic_model(spec), cells, word)
 
 

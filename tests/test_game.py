@@ -439,16 +439,17 @@ class TestVerify:
                 direct(spec, text, tracked)
 
     def test_model_and_game_freed_without_the_cycle_collector(self):
-        # neither the model nor the game is in a reference cycle, so a
-        # query's memory is free for the next one as soon as its result
-        # is dropped
+        # neither the model nor the game nor the spec (with the step
+        # tables it keeps) is in a reference cycle, so a query's memory is
+        # free for the next one as soon as its result is dropped
         gc.disable()
         try:
-            _, art = verify(_spec_1d(), "G p")
+            spec = _spec_1d()
+            _, art = verify(spec, "G p")
             refs = [weakref.ref(art["model"].transitions),
-                    weakref.ref(art["game"])]
-            del art
-            assert [r() for r in refs] == [None, None]
+                    weakref.ref(art["game"]), weakref.ref(spec)]
+            del art, spec
+            assert [r() for r in refs] == [None, None, None]
         finally:
             gc.enable()
 
