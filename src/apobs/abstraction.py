@@ -714,16 +714,15 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
     def successors(i):
         """Cell i's successor ids in row-major order, the sink last."""
         cell = cells[i]
-        succ = [0]
+        succ = None
         out = False
         for t, k, (kmin, stride) in zip(steps[mode_for_cell(spec, cell)],
                                         cell, shape):
             x = 3 * (k - kmin)
             out = out or t[x + 2]
-            succ = [j + m for j in succ for m in range(t[x], t[x + 1], stride)]
-        if out:
-            succ.append(sink)
-        return succ
+            ks = range(t[x], t[x + 1], stride)
+            succ = ks if succ is None else [j + m for j in succ for m in ks]
+        return [*succ, sink] if out else succ
 
     def exits(cell):
         return any(t[3 * (k - kmin) + 2] for t, k, (kmin, _) in
