@@ -8,16 +8,13 @@ from .ltl import (
     LtlSyntaxError, UnsupportedOperatorError,
 )
 from .observations import (
-    OBS, consistency, SignalWord, PiecewiseSignal, is_signal_word,
-    chop, eval_signal, unique_run_oracle,
-    ChoppingError, UndefinedSlice, MultiChange, IncommensurableError,
+    OBS, consistency, ChoppingError, UndefinedSlice, MultiChange,
 )
 from .automata import (
-    build_gba, trim, minimize, degeneralize, translate,
-    accepts_lasso, automaton_to_dot,
+    build_gba, trim, minimize, degeneralize, translate, automaton_to_dot,
 )
 from .abstraction import (
-    SystemSpec, Mode, SymbolicModel, gamma, reach_box,
+    SystemSpec, Mode, SymbolicModel, gamma,
     validate_tau, build_symbolic_model, simulate_trajectory,
     system_spec_to_json, system_spec_from_json,
     TauValidationError, OutOfDomainError,

@@ -29,7 +29,7 @@ from .observations import (OBS, ChoppingError, MultiChange, UndefinedSlice,
 __all__ = [
     "Mode", "SystemSpec", "SymbolicModel", "TauValidation",
     "TauValidationError", "OutOfDomainError",
-    "gamma", "reach_box", "build_symbolic_model",
+    "gamma", "build_symbolic_model",
     "validate_tau", "simulate_trajectory",
     "system_spec_to_json", "system_spec_from_json",
     "region_contains", "box_vs_region", "is_run_of",
@@ -149,9 +149,9 @@ def _finite(x):
 @dataclass(frozen=True)
 class SystemSpec:
     """A grid-quantized system.  A spec is treated as immutable: the grid
-    ranges, the cells, ``v_max``, the step tables and the canonical JSON
-    text are computed once per instance and kept (``dataclasses.replace``
-    makes a new one)."""
+    ranges, the cells, ``v_max``, the step tables, the patrol field's modes
+    and the canonical JSON text are computed once per instance and kept
+    (``dataclasses.replace`` makes a new one)."""
     dim: int
     domain: tuple           # ((lo, hi), ...) per axis
     eta: float
@@ -265,6 +265,13 @@ class SystemSpec:
         spec = weakref.ref(self)
         return _Filled(lambda mode: _step_tables(spec(), mode))
 
+    @functools.cached_property
+    def _headings(self):
+        """heading -> the patrol field's ``Mode`` for it, made once."""
+        base = self.modes["default"]
+        return _Filled(lambda theta: Mode(v=base.v, ev=base.ev, theta=theta,
+                                          etheta=base.etheta))
+
     def axis_interval(self, a, k):
         """Closed interval of cell index k on axis a, k*eta +- eta/2.  A
         boundary cell reaches the domain edge, so the cells cover the
@@ -279,10 +286,6 @@ class SystemSpec:
             hi = max(hi, dhi)
         return lo, hi
 
-    def cell_box(self, cell):
-        """Closed box of a grid cell: its ``axis_interval`` per axis."""
-        return [self.axis_interval(a, k) for a, k in enumerate(cell)]
-
 
 def mode_for_cell(spec, cell):
     """Resolve the motion mode of a cell from the field specification.
@@ -293,7 +296,8 @@ def mode_for_cell(spec, cell):
       * {"kind": "patrol", ...}: the built-in drone patrol field (2-D),
         parameterized by the band rows/columns in metres (see
         ``patrol_theta``), evaluated on the cell centre rounded half-up
-        to whole metres, so every eta grids the same field.
+        to whole metres, so every eta grids the same field; the spec
+        makes one ``Mode`` per heading.
     """
     if isinstance(spec.field, str):
         return spec.modes[spec.field]
@@ -303,10 +307,8 @@ def mode_for_cell(spec, cell):
             tuple(cell), spec.field.get("default", "default"))
         return spec.modes[name]
     # kind == "patrol": SystemSpec admits no other field
-    base = spec.modes["default"]
     point = tuple(math.floor(k * spec.eta + 0.5) for k in cell)
-    theta = patrol_theta(point, spec.field)
-    return Mode(v=base.v, ev=base.ev, theta=theta, etheta=base.etheta)
+    return spec._headings[patrol_theta(point, spec.field)]
 
 
 def patrol_theta(point, params):
@@ -406,29 +408,11 @@ _P_Z = {"+": frozenset("AZ"), "-": frozenset("EN"), "?": frozenset(OBS)}
 _P_E = {"+": frozenset("AE"), "-": frozenset("ZN"), "?": frozenset(OBS)}
 
 
-def reach_box(spec, cell):
-    """Box over-approximation of the states reachable from the cell box in
-    one step of duration tau (cell box Minkowski-summed with tau times the
-    velocity extent box).  Returns (box, exits_domain)."""
-    mode = mode_for_cell(spec, cell)
-    ext = velocity_extents(mode, spec.dim)
-    box = []
-    exits = False
-    for a, (lo, hi) in enumerate(spec.cell_box(cell)):
-        blo = lo + spec.tau * ext[a][0]
-        bhi = hi + spec.tau * ext[a][1]
-        dlo, dhi = spec.domain[a]
-        if blo < dlo - 1e-9 or bhi > dhi + 1e-9:
-            exits = True
-        box.append((blo, bhi))
-    return box, exits
-
-
 def _step_tables(spec, mode):
-    """Per axis, the one-step reach of every cell index in ``mode``, as
-    ``reach_box`` and the grid cut of ``build_symbolic_model`` compute
-    it from the index and the mode's velocity extent on the axis: three
-    entries per index, the row-major id offsets of the first and the end
+    """Per axis, the one-step reach of every cell index in ``mode``: the
+    index's ``axis_interval`` widened by tau times the mode's velocity
+    extent on the axis (the reach box), cut to the grid.  Three entries
+    per index: the row-major id offsets of the first and the end
     successor index, and whether the step can leave the domain."""
     h = spec.eta / 2
     slack = 1e-9 * spec.eta
@@ -760,8 +744,9 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
 # Simulation (Theorem 1 testing)
 
 def simulate_trajectory(spec, horizon, seed, tracked_aps=None):
-    """Integrate one disturbance realization and chop it exactly; return
-    (cells at multiples of tau, observation word).
+    """Integrate one disturbance realization; return (cells at multiples
+    of tau, observation word), each step's letter read exactly from the
+    step's threshold crossings.
 
     Each step is the straight segment x0 + t*u, t in [0, tau], with the
     velocity u drawn once per step from the mode of the current cell.

@@ -1,5 +1,5 @@
 """AP-observation automata: construction from NNF formulas, trimming,
-minimization, degeneralization, and lasso-word membership.
+minimization, degeneralization and DOT export.
 
 One type, ``Automaton``, serves every stage: it carries one accepting set
 per U/R subformula before ``degeneralize`` and exactly one after it, and
@@ -12,16 +12,15 @@ formula's atoms; each edge's label is its target restricted to atoms.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 from .ltl import (NAnd, NFalse, NOr, NRelease, NTrue, NUntil, NegAtom, Nnf,
                   PosAtom, formula_str, subformulas, to_nnf)
-from .observations import NEG, OBS, consistency, is_signal_word
+from .observations import NEG, OBS, consistency
 
 __all__ = [
     "Q0", "Automaton", "build_gba", "trim",
-    "restrict_valid_letters", "minimize", "degeneralize", "accepts_lasso",
+    "restrict_valid_letters", "minimize", "degeneralize",
     "translate", "automaton_to_dot",
 ]
 
@@ -292,102 +291,6 @@ def degeneralize(a):
 
     acc = frozenset((s, 1) for s in accepting[0] if (s, 1) in seen)
     return Automaton(a.aps, frozenset(seen), frozenset(edges), init, (acc,))
-
-
-# ---------------------------------------------------------------------------
-# Lasso membership
-
-def _sccs(adj, nodes):
-    """Iterative Tarjan; returns list of strongly connected components."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    out = []
-    counter = itertools.count()
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(adj.get(root, ())))]
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = next(counter)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adj.get(w, ()))))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(comp)
-    return out
-
-
-def accepts_lasso(a, w):
-    """Does the automaton accept the signal word lasso ``w``?
-
-    Builds the product of the word positions with the automaton and looks
-    for a reachable cycle intersecting every accepting set.
-    """
-    ok, why = is_signal_word(w)
-    if not ok:
-        raise ValueError(f"not a valid signal word: {why}")
-    if tuple(sorted(w.aps)) != tuple(sorted(a.aps)):
-        raise ValueError(
-            f"AP domain mismatch: word {list(w.aps)} vs automaton "
-            f"{list(a.aps)}")
-
-    by_src_label = {}
-    for s, o, d in a.edges:
-        by_src_label.setdefault((s, o), []).append(d)
-
-    def succ(node):
-        k, s = node
-        k2 = w.canonical(k + 1)
-        return [(k2, d) for d in by_src_label.get((s, w._raw(k)), ())]
-
-    start = (0, a.initial)
-    seen = {start}
-    stack = [start]
-    adj = {}
-    while stack:
-        v = stack.pop()
-        adj[v] = succ(v)
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-
-    for comp in _sccs(adj, sorted(seen, key=repr)):
-        comp_set = set(comp)
-        nontrivial = len(comp) > 1 or any(
-            d in comp_set for d in adj.get(comp[0], ()))
-        if not nontrivial:
-            continue
-        comp_states = {s for _, s in comp}
-        if all(comp_states & fs for fs in a.accepting):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

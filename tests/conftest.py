@@ -11,15 +11,17 @@ from hypothesis import strategies as st
 
 from apobs.abstraction import (SINK, _P_E, _P_Z, Mode, SystemSpec,
                                box_vs_region, gamma, mode_for_cell,
-                               reach_box, region_contains, validate_tau)
-from apobs.automata import Automaton, Q0, _reachable, _sccs
+                               region_contains, validate_tau,
+                               velocity_extents)
+from apobs.automata import Automaton, Q0, _reachable
 from apobs.ltl import (Atom, And, FalseF, Not, Or, Release, TrueF, Until,
                        NAnd, NFalse, NOr, NRelease, NTrue, NUntil, NegAtom,
                        Nnf, PosAtom, formula_str, subformulas, to_nnf)
-from apobs.observations import (NEG, OBS, MultiChange, PiecewiseSignal,
-                                SignalWord, UndefinedSlice, _PositionLasso,
-                                _classify_positions, _slice_positions,
-                                _to_frac, consistency, is_signal_word)
+from apobs.observations import (NEG, OBS, MultiChange, UndefinedSlice,
+                                consistency)
+from semantics import (PiecewiseSignal, SignalWord, _PositionLasso, _sccs,
+                       _classify_positions, _slice_positions, _to_frac,
+                       is_signal_word)
 
 
 # ---------------------------------------------------------------------------
@@ -454,47 +456,6 @@ def enumerate_valid_words(aps, max_size):
     return words
 
 
-# ---------------------------------------------------------------------------
-# Raw lasso-word acceptance for automata (no signal-word validity check);
-# used by oracles that must evaluate arbitrary label words.
-
-def accepts_raw_lasso(nba, prefix, loop):
-    """Does the automaton accept the word prefix . loop^omega (labels given
-    as canonical sorted item tuples)?"""
-    (acc,) = nba.accepting
-    by = {}
-    for s, o, d in nba.edges:
-        by.setdefault((s, o), []).append(d)
-    p, l = len(prefix), len(loop)
-
-    def letter(k):
-        return prefix[k] if k < p else loop[(k - p) % l]
-
-    def canon(k):
-        return k if k < p else p + (k - p) % l
-
-    start = (0, nba.initial)
-    seen = {start}
-    stack = [start]
-    adj = {}
-    while stack:
-        k, s = stack.pop()
-        nxt = canon(k + 1)
-        adj[(k, s)] = [(nxt, d) for d in by.get((s, letter(k)), ())]
-        for u in adj[(k, s)]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    # accepting lasso: reachable cycle through an accepting product node,
-    # searched per SCC
-    for comp in _sccs(adj, sorted(seen, key=repr)):
-        cs = set(comp)
-        nontrivial = len(comp) > 1 or any(d in cs for d in adj[comp[0]])
-        if nontrivial and any(s in acc for _, s in comp):
-            return True
-    return False
-
-
 def accepting_run_states(gba, w):
     """For each canonical position k of the signal word w, the set of GBA
     states that position k can take in SOME accepting run matching w on
@@ -638,12 +599,35 @@ def _model_edges(model):
             yield q, o, q2
 
 
+def cell_box(spec, cell):
+    """Closed box of a grid cell: its ``axis_interval`` per axis."""
+    return [spec.axis_interval(a, k) for a, k in enumerate(cell)]
+
+
+def reach_box(spec, cell):
+    """Box over-approximation of the states reachable from the cell box in
+    one step of duration tau (cell box Minkowski-summed with tau times the
+    velocity extent box).  Returns (box, exits_domain)."""
+    mode = mode_for_cell(spec, cell)
+    ext = velocity_extents(mode, spec.dim)
+    box = []
+    exits = False
+    for a, (lo, hi) in enumerate(cell_box(spec, cell)):
+        blo = lo + spec.tau * ext[a][0]
+        bhi = hi + spec.tau * ext[a][1]
+        dlo, dhi = spec.domain[a]
+        if blo < dlo - 1e-9 or bhi > dhi + 1e-9:
+            exits = True
+        box.append((blo, bhi))
+    return box, exits
+
+
 def rho(spec, q, p):
     """Classification of AP p on model state q: ``box_vs_region`` on the
     cell box, '?' on the sink."""
     if q == SINK:
         return "?"
-    return box_vs_region(spec.ap_regions[p], spec.cell_box(q))
+    return box_vs_region(spec.ap_regions[p], cell_box(spec, q))
 
 
 def reference_transitions(spec, aps, drop_multi_change):
@@ -671,7 +655,7 @@ def reference_transitions(spec, aps, drop_multi_change):
         for q2 in cells:
             if all(hi2 >= blo - slack and lo2 <= bhi + slack
                    for (lo2, hi2), (blo, bhi)
-                   in zip(spec.cell_box(q2), reach)):
+                   in zip(cell_box(spec, q2), reach)):
                 outs += [(o, q2) for o in labels(q, q2)]
         if exits:
             any_sink = True

@@ -15,7 +15,7 @@ import apobs
 from apobs.abstraction import (Mode, OutOfDomainError, SINK, SymbolicModel,
                                SystemSpec, TauValidationError, box_vs_region,
                                build_symbolic_model, gamma, mode_for_cell,
-                               reach_box, region_contains,
+                               region_contains,
                                simulate_trajectory, is_run_of,
                                system_spec_from_json,
                                system_spec_to_json, validate_tau,
@@ -23,8 +23,9 @@ from apobs.abstraction import (Mode, OutOfDomainError, SINK, SymbolicModel,
 from apobs.game import verify
 from apobs.observations import ChoppingError, UndefinedSlice, letter_code
 from apobs.scenarios import drone_spec
-from conftest import (drone_model, edge_spec, random_spec,
-                      reference_transitions, rho, sampled_trajectory)
+from conftest import (cell_box, drone_model, edge_spec, random_spec,
+                      reach_box, reference_transitions, rho,
+                      sampled_trajectory)
 
 
 def _exact_refines_sampler(spec, horizon, seed, tracked_aps=None):
@@ -88,7 +89,7 @@ class TestCellClassification:
             cell = rng.choice(cells)
             p = rng.choice(sorted(drone.ap_regions))
             cls = rho(drone, cell, p)
-            box = drone.cell_box(cell)
+            box = cell_box(drone, cell)
             pts = [[rng.uniform(lo, hi) for lo, hi in box]
                    for _ in range(20)]
             inside = [region_contains(drone.ap_regions[p], x) for x in pts]
@@ -159,14 +160,14 @@ class TestReachBox:
         spec = _uniform_spec(Mode(u=(0.0, 0.0)))
         box, exits = reach_box(spec, (-4, 7))
         assert not exits
-        assert box == spec.cell_box((-4, 7))
+        assert box == cell_box(spec, (-4, 7))
 
     def test_soundness_sampled(self):
         spec = _uniform_spec(Mode(v=4.0, ev=0.1, theta=1.1, etheta=0.08))
         rng = random.Random(53)
         for cell in [(0, 0), (3, -2), (-8, 5), (10, 10)]:
             box, _ = reach_box(spec, cell)
-            cb = spec.cell_box(cell)
+            cb = cell_box(spec, cell)
             for _ in range(2500):
                 x = [rng.uniform(lo, hi) for lo, hi in cb]
                 s = 4.0 + rng.uniform(-0.1, 0.1)
@@ -458,8 +459,8 @@ class TestGridCoverage:
         # the grid stops at 23 * 0.7 + 0.35 = 16.45; the last cell's box
         # must still reach 16.5, where q holds
         spec = self._spec(0.95, 16.0, 0.5, {"q": (((0, "ge", 16.47),),)})
-        assert spec.cell_box((23,))[0][1] == 16.5
-        assert spec.cell_box((-23,))[0][0] == -16.5
+        assert cell_box(spec, (23,))[0][1] == 16.5
+        assert cell_box(spec, (-23,))[0][0] == -16.5
         cells, word = simulate_trajectory(spec, 1, seed=0)
         assert cells == [(23,), (23,)] and word == [(("q", "E"),)]
         assert is_run_of(build_symbolic_model(spec), cells, word)

@@ -7,18 +7,18 @@ from contextlib import contextmanager
 
 from apobs.abstraction import build_symbolic_model, simulate_trajectory, \
     is_run_of
-from apobs.automata import Automaton, accepts_lasso, build_gba, translate
+from apobs.automata import Automaton, build_gba, translate
 from apobs.cli import BENCH_FORMULAS, PAPER_REFERENCE
 from apobs.game import build_game, solve_buchi, verify
 from apobs.ltl import atoms, formula_str, parse_ltl, subformulas, to_nnf
-from apobs.observations import OBS, chop, consistency, eval_signal, \
-    unique_run_oracle
+from apobs.observations import OBS, consistency
 from apobs.scenarios import drone_spec
 from conftest import (_gfg_reference, accepting_run_states, brute_force_w0,
                       check_strategy, drone_model, enumerate_valid_words,
                       gba_isomorphic, model_words_included, rand_buchi_game,
                       rand_model, rand_nba, rand_nnf, rand_signal,
                       winning_region_fixpoint)
+from semantics import accepts_lasso, chop, eval_signal, unique_run_oracle
 
 
 @contextmanager

@@ -1,5 +1,6 @@
-"""The public API: every name a module exports exists, and the package
-re-exports only exported names."""
+"""The public API: every name a module exports exists, the package
+re-exports only exported names, and exactly the pinned ones; the README's
+Library example runs and prints what its comments say."""
 import ast
 import importlib
 import pkgutil
@@ -10,6 +11,25 @@ import pytest
 import apobs
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(apobs.__path__))
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# module -> the names ``apobs/__init__.py`` imports from it
+PACKAGE_NAMES = {
+    "ltl": {"parse_ltl", "to_nnf", "subformulas", "atoms", "formula_str",
+            "LtlSyntaxError", "UnsupportedOperatorError"},
+    "observations": {"OBS", "consistency", "ChoppingError", "UndefinedSlice",
+                     "MultiChange"},
+    "automata": {"build_gba", "trim", "minimize", "degeneralize",
+                 "translate", "automaton_to_dot"},
+    "abstraction": {"SystemSpec", "Mode", "SymbolicModel", "gamma",
+                    "validate_tau", "build_symbolic_model",
+                    "simulate_trajectory", "system_spec_to_json",
+                    "system_spec_from_json", "TauValidationError",
+                    "OutOfDomainError"},
+    "game": {"build_game", "solve_buchi", "verify", "Report",
+             "PipelineError", "report_to_json"},
+    "scenarios": {"drone_spec", "make_scenario"},
+}
 
 
 def test_modules_found():
@@ -35,3 +55,29 @@ def test_package_imports_only_exported_names():
         names = [alias.name for alias in node.names]
         assert [n for n in names if n not in module.__all__] == [], \
             node.module
+
+
+def test_package_names_pinned():
+    """A name that joins or leaves the package's imports is a deliberate
+    edit of PACKAGE_NAMES."""
+    tree = ast.parse(Path(apobs.__file__).read_text())
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            imported.setdefault(node.module, set()).update(
+                alias.name for alias in node.names)
+    assert imported == PACKAGE_NAMES
+
+
+def test_readme_library_example(capsys):
+    text = README.read_text(encoding="utf-8")
+    library = text.split("\n## Library\n", 1)[1]
+    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})
+    verdict, _, initial, w0 = capsys.readouterr().out.splitlines()
+    assert verdict == "VERIFIED"
+    assert initial == "('O', (-10, 13), ('q0', 1))"
+    assert w0 == "589"
+    # the comments state the same values
+    for comment in ('# "VERIFIED"', f"# {initial}", f"# {w0} ids in W0"):
+        assert comment in code

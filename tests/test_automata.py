@@ -5,18 +5,17 @@ import random
 import pytest
 
 from apobs.automata import (Automaton, Q0, _consistent_targets,
-                            _position_tables, accepts_lasso,
-                            automaton_to_dot, build_gba, degeneralize,
-                            minimize, restrict_valid_letters, translate,
-                            trim)
+                            _position_tables, automaton_to_dot, build_gba,
+                            degeneralize, minimize, restrict_valid_letters,
+                            translate, trim)
 from apobs.cli import BENCH_FORMULAS
 from apobs.ltl import (NFalse, NTrue, PosAtom, atoms, formula_str,
                        parse_ltl, subformulas, to_nnf)
-from apobs.observations import SignalWord, chop, eval_signal
 from conftest import (_consistent_valuations_bottomup,
                       _consistent_valuations_bruteforce, _gfg_reference,
                       full_gba_reference, gba_isomorphic, prune,
                       rand_formula, rand_nnf, rand_signal, trim_reference)
+from semantics import SignalWord, accepts_lasso, chop, eval_signal
 
 DEEP_FORMULAS = ("G r & F (g & F (p & F (c & F b)))",
                  "G F g & G F p & G F c & G r")

@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from apobs.ltl import NUntil, PosAtom, parse_ltl, subformulas, to_nnf
-from apobs.observations import (NEG, OBS, ChoppingError, IncommensurableError,
-                                MultiChange, PiecewiseSignal, SignalWord,
-                                UndefinedSlice, chop, consistency,
-                                eval_signal, is_signal_word, letter_code,
-                                letter_of, unique_run_oracle)
+from apobs.observations import (NEG, OBS, ChoppingError, MultiChange,
+                                UndefinedSlice, consistency, letter_code,
+                                letter_of)
 from conftest import (_OR_REF, _RELEASE_REF, _formula_observations,
                       formula_observation, rand_nnf, rand_signal)
+from semantics import (IncommensurableError, PiecewiseSignal, SignalWord,
+                       chop, eval_signal, is_signal_word, unique_run_oracle)
 
 P, Q = PosAtom("p"), PosAtom("q")
 
