@@ -23,6 +23,6 @@ from .game import (
     build_game, solve_buchi, verify, Report, PipelineError,
     report_to_json,
 )
-from .scenarios import drone_spec, make_scenario
+from .scenarios import drone_spec
 
 __version__ = "0.1.0"

@@ -18,13 +18,12 @@ import json
 import math
 import numbers
 import random
-import weakref
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .observations import (OBS, ChoppingError, MultiChange, UndefinedSlice,
-                           letter_code, letter_of)
+from .observations import (OBS, MultiChange, UndefinedSlice, letter_code,
+                           letter_of)
 
 __all__ = [
     "Mode", "SystemSpec", "SymbolicModel", "TauValidation",
@@ -114,7 +113,8 @@ class Mode:
     du: tuple = None
 
     def __post_init__(self):
-        # tuples keep a mode hashable: step tables are keyed by it
+        # lists become tuples: a mode stays hashable and equals one made
+        # from tuples
         for name in ("u", "du"):
             value = getattr(self, name)
             if value is not None:
@@ -149,16 +149,16 @@ def _finite(x):
 @dataclass(frozen=True)
 class SystemSpec:
     """A grid-quantized system.  A spec is treated as immutable: the grid
-    ranges, the cells, ``v_max``, the step tables, the patrol field's modes
-    and the canonical JSON text are computed once per instance and kept
-    (``dataclasses.replace`` makes a new one)."""
+    ranges, the cells, each cell's mode (``cell_modes``), ``v_max``, the
+    step tables and the canonical JSON text are computed once per
+    instance and kept (``dataclasses.replace`` makes a new one)."""
     dim: int
     domain: tuple           # ((lo, hi), ...) per axis
     eta: float
     tau: float
     x_in: tuple
     modes: dict             # name -> Mode; must contain "default"
-    field: object           # field spec: see mode_for_cell
+    field: object           # field spec: see cell_modes
     ap_regions: dict        # ap name -> region
 
     def __post_init__(self):
@@ -197,8 +197,8 @@ class SystemSpec:
                         f"AP {p!r}: threshold {c!r} is not a finite number")
 
     def _check_field(self):
-        """Every mode name the field can resolve (see ``mode_for_cell``)
-        is in ``modes``: one set difference, however many table cells."""
+        """Every mode name the field can resolve (see ``cell_modes``) is
+        in ``modes``: one set difference, however many table cells."""
         f = self.field
         kind = f.get("kind") if isinstance(f, dict) else None
         if isinstance(f, str):
@@ -221,6 +221,10 @@ class SystemSpec:
             raise ValueError(f"field: patrol needs dim 2, not {self.dim}")
         if kind == "patrol" and self.modes["default"].u is not None:
             raise ValueError("field: patrol needs an angular 'default' mode")
+        if kind == "patrol" and f.keys() != {"kind"}:
+            extra = sorted(map(repr, f.keys() - {"kind"}))
+            raise ValueError(f"field: patrol takes no parameters, got "
+                             f"{', '.join(extra)}")
 
     @functools.cached_property
     def grid_ranges(self):
@@ -231,20 +235,9 @@ class SystemSpec:
 
     @functools.cached_property
     def v_max(self):
-        """Largest speed bound over the modes the field gives the cells
-        (see ``mode_for_cell``): a patrol cell's bound is its default
-        mode's, and a table key outside the grid names no cell's mode."""
-        f = self.field
-        if not self.cells:
-            return 0.0
-        if isinstance(f, str):
-            names = {f}
-        elif f["kind"] == "patrol":
-            names = {"default"}
-        else:
-            table, default = f["cells"], f.get("default", "default")
-            names = {table.get(c, default) for c in self.cells}
-        return max(self.modes[name].v_max for name in names)
+        """Largest speed bound over the modes of the grid cells: a table
+        key outside the grid names no cell's mode."""
+        return max((m.v_max for m in self.cell_modes[0]), default=0.0)
 
     @functools.cached_property
     def json_text(self):
@@ -258,19 +251,56 @@ class SystemSpec:
             *(range(kmin, kmax + 1) for kmin, kmax in self.grid_ranges)))
 
     @functools.cached_property
-    def _steps(self):
-        """mode -> its ``_step_tables``, computed when first read.  The
-        fill holds the spec weakly: a spec in no reference cycle is freed
-        as soon as it is dropped."""
-        spec = weakref.ref(self)
-        return _Filled(lambda mode: _step_tables(spec(), mode))
+    def cell_modes(self):
+        """(modes, index): the distinct modes of the grid cells in order of
+        first use, and an array giving each cell, in row-major order, its
+        position in ``modes``.  Field forms:
+
+          * a string naming a mode ("default", ...): uniform field;
+          * {"kind": "table", "cells": {cell: mode name}, "default": name};
+          * {"kind": "patrol"}: the built-in drone patrol field (2-D,
+            ``patrol_theta``), evaluated on the cell centre rounded half-up
+            to whole metres, so every eta grids the same field; each
+            heading is the "default" mode turned to it.
+        """
+        f, mode = self.field, self.modes.__getitem__
+        if isinstance(f, str):
+            keys = [f] * len(self.cells)
+        elif f["kind"] == "table":
+            keys = list(map(f["cells"].get, self.cells,
+                            itertools.repeat(f.get("default", "default"))))
+        else:
+            # rounding is per axis; a heading is computed once per point
+            metres = [[math.floor(k * self.eta + 0.5)
+                       for k in range(lo, hi + 1)]
+                      for lo, hi in self.grid_ranges]
+            keys = list(itertools.starmap(functools.cache(patrol_theta),
+                                          itertools.product(*metres)))
+            base = self.modes["default"]
+
+            def mode(theta):
+                return Mode(v=base.v, ev=base.ev, theta=theta,
+                            etheta=base.etheta)
+        # mode name or heading -> position in modes, in order of first use
+        pos = {k: i for i, k in enumerate(dict.fromkeys(keys))}
+        return tuple(map(mode, pos)), array("L", map(pos.__getitem__, keys))
 
     @functools.cached_property
-    def _headings(self):
-        """heading -> the patrol field's ``Mode`` for it, made once."""
-        base = self.modes["default"]
-        return _Filled(lambda theta: Mode(v=base.v, ev=base.ev, theta=theta,
-                                          etheta=base.etheta))
+    def _steps(self):
+        """The ``_step_tables`` of each mode in ``cell_modes``, in order."""
+        return tuple(_step_tables(self, m) for m in self.cell_modes[0])
+
+    def cell_id(self, cell):
+        """The row-major index of a grid cell, or None if ``cell`` is not
+        one."""
+        i = 0
+        try:
+            for k, (kmin, kmax) in zip(cell, self.grid_ranges):
+                i = i * (kmax - kmin + 1) + k - kmin
+        except TypeError:
+            return None
+        return i if 0 <= i < len(self.cells) and self.cells[i] == cell \
+            else None
 
     def axis_interval(self, a, k):
         """Closed interval of cell index k on axis a, k*eta +- eta/2.  A
@@ -288,58 +318,39 @@ class SystemSpec:
 
 
 def mode_for_cell(spec, cell):
-    """Resolve the motion mode of a cell from the field specification.
-
-    Field forms:
-      * a string naming a mode ("default", ...): uniform field;
-      * {"kind": "table", "cells": {cell: mode name}, "default": name};
-      * {"kind": "patrol", ...}: the built-in drone patrol field (2-D),
-        parameterized by the band rows/columns in metres (see
-        ``patrol_theta``), evaluated on the cell centre rounded half-up
-        to whole metres, so every eta grids the same field; the spec
-        makes one ``Mode`` per heading.
-    """
-    if isinstance(spec.field, str):
-        return spec.modes[spec.field]
-    kind = spec.field.get("kind")
-    if kind == "table":
-        name = spec.field["cells"].get(
-            tuple(cell), spec.field.get("default", "default"))
-        return spec.modes[name]
-    # kind == "patrol": SystemSpec admits no other field
-    point = tuple(math.floor(k * spec.eta + 0.5) for k in cell)
-    return spec._headings[patrol_theta(point, spec.field)]
+    """The motion mode of a grid cell (see ``SystemSpec.cell_modes``)."""
+    modes, index = spec.cell_modes
+    i = spec.cell_id(tuple(cell))
+    if i is None:
+        raise KeyError(f"{cell!r} is not a grid cell")
+    return modes[index[i]]
 
 
-def patrol_theta(point, params):
+def patrol_theta(cx, cy):
     """Counter-clockwise patrol heading for the drone scenario at a point
     given in whole metres.
 
     The drone circulates in the horizontal band above the lowest region
     boundary it must never cross mid-flight: east along y = 13-15 m,
-    south at the right edge, west along y = 7-11 m, north at the left
-    edge.
+    south at the right edge (x >= 11 m), west along y = 7-11 m, north at
+    the left edge (x <= -11 m).
     Corridor rows use slightly tilted headings that steer drifting
     trajectories back toward the corridor center, so the band is invariant
     under the disturbance and no step can leave the domain or cross the
     forbidden boundary.
     """
-    cx, cy = point
-    xleft = params.get("xleft", -11)
-    xright = params.get("xright", 11)
-    tilt = params.get("tilt", 0.1)
-    strong = params.get("strong", 0.25)
+    tilt, strong = 0.1, 0.25
     N, S, E, W = math.pi / 2, -math.pi / 2, 0.0, math.pi
     if cy <= 6:
         return N
     if cy >= 16:
         return S
-    if cx <= xleft:
+    if cx <= -11:
         if cy <= 10:
             return N - strong if cx <= -16 else N
         if cy <= 12:
             return E + strong
-    if cx >= xright and cy >= 12:
+    if cx >= 11 and cy >= 12:
         return S - strong if cx >= 16 else S
     if cy == 15:
         return E - strong
@@ -628,7 +639,8 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
     of classes, and a table gives every cell its signature.  The reach
     box and the grid cut read a cell on an axis only through its index
     and its mode's velocity extent there, so the spec keeps a step table
-    per mode and axis (``_step_tables``) that gives every index its first
+    per distinct cell mode and axis (``_step_tables``), read through the
+    cell's mode index (``cell_modes``), that gives every index its first
     and end successor and whether the step can leave the domain; the sink
     check reads the same flags.  A row is the successors' row-major ids,
     each plus the letter codes of the labels of its signature pair,
@@ -693,24 +705,22 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
             chars[s], chars[s2], aps, drop_multi_change))
 
     labels = _Filled(pair_labels)  # s * n_sigs + s2 -> codes * n_ids
-    steps = spec._steps
+    steps, (_, mode_of) = spec._steps, spec.cell_modes
 
     def successors(i):
         """Cell i's successor ids in row-major order, the sink last."""
-        cell = cells[i]
         succ = None
         out = False
-        for t, k, (kmin, stride) in zip(steps[mode_for_cell(spec, cell)],
-                                        cell, shape):
+        for t, k, (kmin, stride) in zip(steps[mode_of[i]], cells[i], shape):
             x = 3 * (k - kmin)
             out = out or t[x + 2]
             ks = range(t[x], t[x + 1], stride)
             succ = ks if succ is None else [j + m for j in succ for m in ks]
         return [*succ, sink] if out else succ
 
-    def exits(cell):
+    def exits(i):
         return any(t[3 * (k - kmin) + 2] for t, k, (kmin, _) in
-                   zip(steps[mode_for_cell(spec, cell)], cell, shape))
+                   zip(steps[mode_of[i]], cells[i], shape))
 
     def outgoing(i):
         if i == sink:
@@ -723,13 +733,9 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
         """The row-major index of a cell, the sink's id, or None."""
         if q == SINK:
             return sink if has_sink else None
-        try:
-            i = sum((k - kmin) * stride for k, (kmin, stride) in zip(q, shape))
-            return i if 0 <= i < sink and cells[i] == q else None
-        except TypeError:
-            return None
+        return spec.cell_id(q)
 
-    has_sink = any(map(exits, cells))
+    has_sink = any(map(exits, range(sink)))
     ids = cells + (SINK,) if has_sink else cells
     n_ids = len(ids)
     # the closures hold no reference to the map: a model is freed as soon

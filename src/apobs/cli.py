@@ -17,7 +17,7 @@ import sys
 from . import abstraction as _abs
 from . import automata as _aut
 from . import game as _game
-from .scenarios import make_scenario
+from .scenarios import drone_spec
 
 __all__ = ["main", "BENCH_FORMULAS", "PAPER_REFERENCE"]
 
@@ -111,8 +111,7 @@ def cmd_verify(args):
 
 
 def cmd_scenario(args):
-    spec = make_scenario(args.name, eta=args.eta, tau=args.tau,
-                         r_mode=args.r_mode)
+    spec = drone_spec(eta=args.eta, tau=args.tau, r_mode=args.r_mode)
     obj = _abs.system_spec_to_json(spec)
     obj["r_mode"] = args.r_mode
     text = json.dumps(obj, indent=1)
@@ -186,7 +185,7 @@ def _bench_table(rows, with_reference, averaged):
 
 def cmd_bench(args):
     spec = _load_spec(args.system) if args.system else \
-        make_scenario("drone", r_mode=args.r_mode)
+        drone_spec(r_mode=args.r_mode)
     if args.formulas:
         with open(args.formulas) as fh:
             formulas = [ln.strip() for ln in fh if ln.strip()]
@@ -251,7 +250,7 @@ def build_parser():
     pv.set_defaults(fn=cmd_verify)
 
     ps = sub.add_parser("scenario", help="emit a built-in system spec")
-    ps.add_argument("name")
+    ps.add_argument("name", choices=["drone"])
     ps.add_argument("--eta", type=float, default=1.0)
     ps.add_argument("--tau", type=float, default=1.0)
     ps.add_argument("--r-mode", choices=["or", "and"], default="or",

@@ -192,18 +192,18 @@ class SolveResult:
     w0: frozenset             # vertex ids
     w1: frozenset
     strategy0: dict           # Player ids in W0 -> chosen successor id
-    strategy1: dict           # Opponent ids in W1 -> chosen successor id
     winning: bool
     stats: dict
 
 
 def _attractor(target, player, live, succ, pred, owner, strategy, all_live):
     """Attractor of ``target`` for ``player`` inside the ``live`` vertices.
-    Returns (membership bytearray, members in the order attracted) and
-    writes the successor chosen by each of the player's attractor
-    vertices into ``strategy``.  An adversary vertex's count of live
-    successors still outside the attractor is set up the first time one
-    of them joins; while ``all_live`` it is the vertex's out-degree."""
+    Returns (membership bytearray, members in the order attracted) and,
+    unless ``strategy`` is None, writes the successor chosen by each of
+    the player's attractor vertices into it.  An adversary vertex's count
+    of live successors still outside the attractor is set up the first
+    time one of them joins; while ``all_live`` it is the vertex's
+    out-degree."""
     attr = bytearray(len(succ))
     for t in target:
         attr[t] = 1
@@ -214,7 +214,8 @@ def _attractor(target, player, live, succ, pred, owner, strategy, all_live):
             if attr[v] or not live[v]:
                 continue
             if owner[v] == player:
-                strategy[v] = w
+                if strategy is not None:
+                    strategy[v] = w
             else:
                 left = remaining.get(v)
                 if left is None:
@@ -230,14 +231,14 @@ def _attractor(target, player, live, succ, pred, owner, strategy, all_live):
 
 def solve_buchi(game):
     """Zielonka's algorithm specialized to two priorities (the classical
-    alternating-attractor Büchi fixpoint), with positional strategies for
-    both sides.
+    alternating-attractor Büchi fixpoint), with a positional winning
+    strategy for Player on W0.
 
     Reads the game's ids directly and builds only the predecessor lists;
-    the shrinking universe is a bytearray, and each strategy is a list
+    the shrinking universe is a bytearray, and the strategy is a list
     indexed by id, listed as a dict in id order.  So for a game from
-    ``build_game`` the result, strategies included, does not depend on
-    the hash seed."""
+    ``build_game`` the result, strategy included, does not depend on the
+    hash seed."""
     succ = game.edges
     owner = game.owner
     n = len(owner)
@@ -250,7 +251,6 @@ def solve_buchi(game):
     live = bytearray(b"\x01") * n
     n_live = n
     w1 = []
-    strategy1 = [-1] * n
     iterations = 0
     while n_live:
         iterations += 1
@@ -268,15 +268,8 @@ def solve_buchi(game):
                             break
             break
         dead = [v for v in range(n) if live[v] and not reach[v]]
-        _, trapped = _attractor(dead, 1, live, succ, pred, owner, strategy1,
+        _, trapped = _attractor(dead, 1, live, succ, pred, owner, None,
                                 n_live == n)
-        for v in dead:
-            if owner[v] == 1 and strategy1[v] < 0:
-                # stay inside the F-unreachable region
-                for w in succ[v]:
-                    if live[w] and not reach[w]:
-                        strategy1[v] = w
-                        break
         for v in trapped:
             live[v] = 0
         w1 += trapped
@@ -293,7 +286,6 @@ def solve_buchi(game):
     return SolveResult(frozenset(v for v in range(n) if live[v]),
                        frozenset(w1),
                        {v: w for v, w in enumerate(strategy0) if w >= 0},
-                       {v: w for v, w in enumerate(strategy1) if w >= 0},
                        bool(live[game.initial]), stats)
 
 
@@ -340,11 +332,12 @@ def verify(spec, formula, repeat=1, allow_unsound_tau=False):
 
     ``formula`` may be LTL text or a Formula/Nnf object.
 
-    ``times["model"]`` covers only the up-front part of the model build:
-    the transitions of the cells the game reaches are computed on first
-    access, inside ``times["game_build"]``.  Runs after the first build
-    their model on a fresh copy of the spec, which has none of the values
-    (such as ``v_max``) the spec keeps once computed.
+    ``times["model"]`` covers only the up-front part of the model build,
+    the spec's one-time field resolution included: the transitions of
+    the cells the game reaches are computed on first access, inside
+    ``times["game_build"]``.  Runs after the first build their model on a
+    fresh copy of the spec, which has none of the values (such as
+    ``cell_modes`` and ``v_max``) the spec keeps once computed.
     """
     repeat = max(1, repeat)
     if isinstance(formula, str):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .abstraction import Mode, SystemSpec
 
-__all__ = ["drone_spec", "make_scenario", "SCENARIOS"]
+__all__ = ["drone_spec"]
 
 
 def _r_region(r_mode):
@@ -43,7 +43,7 @@ def _r_region(r_mode):
     raise ValueError(f"r_mode must be 'or' or 'and', got {r_mode!r}")
 
 
-def drone_spec(eta=1.0, tau=1.0, r_mode="or", field=None):
+def drone_spec(eta=1.0, tau=1.0, r_mode="or"):
     regions = {
         "c": (((1, "ge", 6.21),),),
         "b": (((0, "ge", 6.21), (1, "ge", 10.32)),),
@@ -51,24 +51,12 @@ def drone_spec(eta=1.0, tau=1.0, r_mode="or", field=None):
         "g": (((0, "ge", 6.21), (1, "le", 6.21)),),
         "r": _r_region(r_mode),
     }
-    if field is None:
-        field = {"kind": "patrol"}
     return SystemSpec(
         dim=2,
         domain=((-16.5, 16.5), (-16.5, 16.5)),
         eta=eta, tau=tau,
         x_in=(-10.0, 13.0),
         modes={"default": Mode(v=4.0, ev=0.1, theta=0.0, etheta=0.08)},
-        field=field,
+        field={"kind": "patrol"},
         ap_regions=regions,
     )
-
-
-SCENARIOS = {"drone": drone_spec}
-
-
-def make_scenario(name, **kwargs):
-    if name not in SCENARIOS:
-        raise ValueError(
-            f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}")
-    return SCENARIOS[name](**kwargs)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from apobs.abstraction import (SINK, _P_E, _P_Z, Mode, SystemSpec,
-                               box_vs_region, gamma, mode_for_cell,
+                               box_vs_region, gamma, patrol_theta,
                                region_contains, validate_tau,
                                velocity_extents)
 from apobs.automata import Automaton, Q0, _reachable
@@ -604,11 +604,27 @@ def cell_box(spec, cell):
     return [spec.axis_interval(a, k) for a, k in enumerate(cell)]
 
 
+def field_mode(spec, cell):
+    """A cell's motion mode by the field rules, one cell at a time: a
+    string names every cell's mode; a table maps a cell to a mode name,
+    else to its "default" entry ("default" when there is none); the
+    patrol field turns the "default" mode to ``patrol_theta`` of the cell
+    centre rounded half-up to whole metres."""
+    f = spec.field
+    if isinstance(f, str):
+        return spec.modes[f]
+    if f["kind"] == "table":
+        return spec.modes[f["cells"].get(tuple(cell),
+                                         f.get("default", "default"))]
+    x, y = (math.floor(k * spec.eta + 0.5) for k in cell)
+    return dataclasses.replace(spec.modes["default"], theta=patrol_theta(x, y))
+
+
 def reach_box(spec, cell):
     """Box over-approximation of the states reachable from the cell box in
     one step of duration tau (cell box Minkowski-summed with tau times the
     velocity extent box).  Returns (box, exits_domain)."""
-    mode = mode_for_cell(spec, cell)
+    mode = field_mode(spec, cell)
     ext = velocity_extents(mode, spec.dim)
     box = []
     exits = False
@@ -770,7 +786,7 @@ def sampled_trajectory(spec, horizon, seed, tracked_aps=None):
     cells = [gamma(x, spec)]
     word = []
     for step in range(horizon):
-        mode = mode_for_cell(spec, cells[-1])
+        mode = field_mode(spec, cells[-1])
         if mode.u is not None:
             du = mode.du or (0.0,) * spec.dim
             u = [mode.u[a] + rng.uniform(-du[a], du[a])

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import apobs
 from apobs.abstraction import (Mode, OutOfDomainError, SINK, SymbolicModel,
-                               SystemSpec, TauValidationError, box_vs_region,
+                               SystemSpec, TauValidationError,
                                build_symbolic_model, gamma, mode_for_cell,
                                region_contains,
                                simulate_trajectory, is_run_of,
@@ -23,8 +23,8 @@ from apobs.abstraction import (Mode, OutOfDomainError, SINK, SymbolicModel,
 from apobs.game import verify
 from apobs.observations import ChoppingError, UndefinedSlice, letter_code
 from apobs.scenarios import drone_spec
-from conftest import (cell_box, drone_model, edge_spec, random_spec,
-                      reach_box, reference_transitions, rho,
+from conftest import (cell_box, drone_model, edge_spec, field_mode,
+                      random_spec, reach_box, reference_transitions, rho,
                       sampled_trajectory)
 
 
@@ -403,10 +403,11 @@ class TestVMax:
 
     @staticmethod
     def _per_cell(spec):
-        return max((mode_for_cell(spec, c).v_max for c in spec.cells),
+        return max((field_mode(spec, c).v_max for c in spec.cells),
                    default=0.0)
 
-    def _table(self, cells, default):
+    @staticmethod
+    def _table(cells, default):
         return SystemSpec(
             dim=2, domain=((-2.5, 2.5),) * 2, eta=1.0, tau=1.0,
             x_in=(0.0, 0.0),
@@ -444,6 +445,42 @@ class TestVMax:
     @given(spec=random_spec())
     def test_random_specs(self, spec):
         assert spec.v_max == self._per_cell(spec)
+
+
+class TestCellModes:
+    """``SystemSpec.cell_modes``, read through ``mode_for_cell``, gives
+    every cell the mode the field rules give it (``field_mode``)."""
+
+    @staticmethod
+    def _check(spec):
+        modes, index = spec.cell_modes
+        assert len(index) == len(spec.cells)
+        # numbered in order of first use, and every one used
+        assert list(dict.fromkeys(index)) == list(range(len(modes)))
+        for cell in spec.cells:
+            assert mode_for_cell(spec, cell) == field_mode(spec, cell), cell
+
+    @pytest.mark.parametrize("eta", [1.0, 0.5, 0.25])
+    def test_drone(self, eta):
+        self._check(drone_spec(eta=eta))
+
+    def test_table_key_outside_the_grid(self):
+        self._check(TestVMax._table({(9, 9): "fast", (0, 1): "mid",
+                                     (-2, 2): "fast"}, "default"))
+
+    def test_not_a_cell(self, drone):
+        for q in ((17, 0), (0,), (0, 0, 0), SINK):
+            with pytest.raises(KeyError):
+                mode_for_cell(drone, q)
+        assert drone.cell_id((-16, -16)) == 0
+        assert drone.cell_id((-16, -15)) == 1
+        assert drone.cell_id((0, 0)) == drone.cells.index((0, 0))
+
+    @settings(derandomize=True, database=None, max_examples=100,
+              deadline=None)
+    @given(spec=random_spec())
+    def test_random_specs(self, spec):
+        self._check(spec)
 
 
 class TestGridCoverage:

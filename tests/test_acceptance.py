@@ -5,8 +5,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from apobs.abstraction import build_symbolic_model, simulate_trajectory, \
-    is_run_of
+from apobs.abstraction import simulate_trajectory, is_run_of
 from apobs.automata import Automaton, build_gba, translate
 from apobs.cli import BENCH_FORMULAS, PAPER_REFERENCE
 from apobs.game import build_game, solve_buchi, verify

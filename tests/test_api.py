@@ -1,6 +1,7 @@
 """The public API: every name a module exports exists, the package
-re-exports only exported names, and exactly the pinned ones; the README's
-Library example runs and prints what its comments say."""
+re-exports only exported names, and exactly the pinned ones; no module
+imports a name it never reads; the README's Library example runs and
+prints what its comments say."""
 import ast
 import importlib
 import pkgutil
@@ -11,7 +12,8 @@ import pytest
 import apobs
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(apobs.__path__))
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 # module -> the names ``apobs/__init__.py`` imports from it
 PACKAGE_NAMES = {
@@ -28,7 +30,7 @@ PACKAGE_NAMES = {
                     "OutOfDomainError"},
     "game": {"build_game", "solve_buchi", "verify", "Report",
              "PipelineError", "report_to_json"},
-    "scenarios": {"drone_spec", "make_scenario"},
+    "scenarios": {"drone_spec"},
 }
 
 
@@ -67,6 +69,33 @@ def test_package_names_pinned():
             imported.setdefault(node.module, set()).update(
                 alias.name for alias in node.names)
     assert imported == PACKAGE_NAMES
+
+
+def unused_imports(path):
+    """The names a module imports and never reads, skipping ``__future__``
+    imports and the names listed in its ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(imported - read - exported)
+
+
+@pytest.mark.parametrize("path", sorted(
+    p.relative_to(ROOT).as_posix() for d in ("src/apobs", "tests")
+    for p in (ROOT / d).glob("*.py") if p.name != "__init__.py"))
+def test_no_unused_imports(path):
+    assert unused_imports(ROOT / path) == []
 
 
 def test_readme_library_example(capsys):

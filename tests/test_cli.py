@@ -145,6 +145,9 @@ class TestMalformedSpec:
          "field: patrol needs dim 2, not 1"),
         (lambda o: o["modes"].update(default={"u": [0.5, 0.0]}),
          "field: patrol needs an angular 'default' mode"),
+        (lambda o: o["modes"].update(field={"kind": "patrol", "tilt": 0.2,
+                                            "xleft": -9}),
+         "field: patrol takes no parameters, got 'tilt', 'xleft'"),
     ], ids=["missing-modes", "short-domain", "non-numeric-speed", "op-lt",
             "nan-threshold", "string-threshold", "negative-axis",
             "axis-out-of-range", "bool-axis", "nan-speed", "infinite-domain",
@@ -152,7 +155,7 @@ class TestMalformedSpec:
             "short-du", "ev-exceeds-v", "unknown-uniform-mode", "weird-kind",
             "unknown-table-default", "unknown-table-cell",
             "patrol-without-default", "unhashable-table-cell",
-            "patrol-1d", "patrol-vector-default"])
+            "patrol-1d", "patrol-vector-default", "patrol-with-parameters"])
     def test_one_line_error(self, spec_file, tmp_path, capsys, edit, field):
         obj = json.loads(Path(spec_file).read_text())
         edit(obj)
