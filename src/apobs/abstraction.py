@@ -19,6 +19,7 @@ import math
 import numbers
 import random
 from array import array
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -149,9 +150,9 @@ def _finite(x):
 @dataclass(frozen=True)
 class SystemSpec:
     """A grid-quantized system.  A spec is treated as immutable: the grid
-    ranges, the cells, each cell's mode (``cell_modes``), ``v_max``, the
-    step tables and the canonical JSON text are computed once per
-    instance and kept (``dataclasses.replace`` makes a new one)."""
+    ranges and edges, the cells, each cell's mode (``cell_modes``),
+    ``v_max``, the step tables and the canonical JSON text are computed
+    once per instance and kept (``dataclasses.replace`` makes a new one)."""
     dim: int
     domain: tuple           # ((lo, hi), ...) per axis
     eta: float
@@ -234,6 +235,23 @@ class SystemSpec:
                      for lo, hi in self.domain)
 
     @functools.cached_property
+    def n_cells(self):
+        """The number of grid cells, counted without building them."""
+        return math.prod(kmax - kmin + 1 for kmin, kmax in self.grid_ranges)
+
+    @functools.cached_property
+    def edges(self):
+        """Per axis, the cell edges e, the one place that says where cells
+        lie: cell kmin + j is [e[j], e[j + 1]], e[j] = (kmin + j)*eta -
+        eta/2, but the outer two reach any domain edge beyond them."""
+        out = []
+        for (kmin, kmax), (dlo, dhi) in zip(self.grid_ranges, self.domain):
+            e = [k * self.eta - self.eta / 2 for k in range(kmin, kmax + 2)]
+            e[0], e[-1] = min(e[0], dlo), max(e[-1], dhi)
+            out.append(tuple(e))
+        return tuple(out)
+
+    @functools.cached_property
     def v_max(self):
         """Largest speed bound over the modes of the grid cells: a table
         key outside the grid names no cell's mode."""
@@ -303,18 +321,11 @@ class SystemSpec:
             else None
 
     def axis_interval(self, a, k):
-        """Closed interval of cell index k on axis a, k*eta +- eta/2.  A
-        boundary cell reaches the domain edge, so the cells cover the
-        domain even when eta does not divide it; no interval is ever
-        shrunk."""
-        (kmin, kmax), (dlo, dhi) = self.grid_ranges[a], self.domain[a]
-        h = self.eta / 2
-        lo, hi = k * self.eta - h, k * self.eta + h
-        if k == kmin:
-            lo = min(lo, dlo)
-        if k == kmax:
-            hi = max(hi, dhi)
-        return lo, hi
+        """Closed interval of cell index k on axis a: two entries of
+        ``edges``.  An index outside the grid raises a ValueError."""
+        kmin, kmax = self.grid_ranges[a]
+        j = range(kmin, kmax + 1).index(k)
+        return self.edges[a][j], self.edges[a][j + 1]
 
 
 def mode_for_cell(spec, cell):
@@ -399,18 +410,15 @@ def velocity_extents(mode, dim):
 # Core operations
 
 def gamma(x, spec):
-    """Nearest grid cell (infinity norm); coordinate ties round half-up.
-    The result is clamped to the grid, so boundary points map to the
-    nearest existing cell."""
-    cell = []
-    for a in range(spec.dim):
-        lo, hi = spec.domain[a]
-        if not (lo - 1e-9 <= x[a] <= hi + 1e-9):
-            raise OutOfDomainError(f"point {tuple(x)} outside the domain")
-        k = math.floor(x[a] / spec.eta + 0.5)
-        kmin, kmax = spec.grid_ranges[a]
-        cell.append(min(max(k, kmin), kmax))
-    return tuple(cell)
+    """The grid cell whose closed box (see ``SystemSpec.edges``) holds x;
+    a point on an edge two cells share is in the upper cell.  A point up
+    to 1e-9 outside the domain maps to the boundary cell."""
+    if not all(lo - 1e-9 <= xa <= hi + 1e-9
+               for xa, (lo, hi) in zip(x, spec.domain)):
+        raise OutOfDomainError(f"point {tuple(x)} outside the domain")
+    # bisecting only the inner edges clamps x to the grid
+    return tuple(kmin - 1 + bisect_right(e, xa, 1, len(e) - 1)
+                 for xa, e, (kmin, _) in zip(x, spec.edges, spec.grid_ranges))
 
 
 # observations of an AP allowed by its classification ('+', '-', '?') on
@@ -420,31 +428,23 @@ _P_E = {"+": frozenset("AE"), "-": frozenset("ZN"), "?": frozenset(OBS)}
 
 
 def _step_tables(spec, mode):
-    """Per axis, the one-step reach of every cell index in ``mode``: the
-    index's ``axis_interval`` widened by tau times the mode's velocity
+    """Per axis, the one-step reach of every cell index in ``mode``: its
+    interval in ``spec.edges`` widened by tau times the mode's velocity
     extent on the axis (the reach box), cut to the grid.  Three entries
     per index: the row-major id offsets of the first and the end
     successor index, and whether the step can leave the domain."""
-    h = spec.eta / 2
     slack = 1e-9 * spec.eta
     tables = []
     for a, (vlo, vhi) in enumerate(velocity_extents(mode, spec.dim)):
-        (kmin, kmax), (dlo, dhi) = spec.grid_ranges[a], spec.domain[a]
-        stride = math.prod(hi - lo + 1 for lo, hi in spec.grid_ranges[a + 1:])
+        e, (dlo, dhi) = spec.edges[a], spec.domain[a]
+        stride = math.prod(len(f) - 1 for f in spec.edges[a + 1:])
         t = array("q")
-        for k in range(kmin, kmax + 1):
-            lo, hi = spec.axis_interval(a, k)
+        for lo, hi in zip(e, e[1:]):
             blo = lo + spec.tau * vlo
             bhi = hi + spec.tau * vhi
-            lo_k = math.ceil((blo - h) / spec.eta - 1e-9)
-            hi_k = math.floor((bhi + h) / spec.eta + 1e-9)
-            # the boundary cells reach the domain edge (see axis_interval)
-            if blo <= dhi + slack:
-                lo_k = min(lo_k, kmax)
-            if bhi >= dlo - slack:
-                hi_k = max(hi_k, kmin)
-            t.extend((stride * (max(lo_k, kmin) - kmin),
-                      stride * (min(hi_k, kmax) + 1 - kmin),
+            # the cells j with e[j + 1] >= blo - slack and e[j] <= bhi + slack
+            t.extend((stride * (bisect_left(e, blo - slack, 1) - 1),
+                      stride * bisect_right(e, bhi + slack, 0, len(e) - 1),
                       blo < dlo - 1e-9 or bhi > dhi + 1e-9))
         tables.append(t)
     return tuple(tables)
@@ -632,8 +632,8 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
     Requires a passing validate_tau unless ``force``.
 
     A row is made by table lookups.  A half-space reads a cell only
-    through the cell's ``axis_interval`` on its axis, so the indices of
-    an axis fall into classes by their threshold comparisons there.  A
+    through its interval in ``spec.edges`` on its axis, so the indices
+    of an axis fall into classes by their threshold comparisons there.  A
     signature (every tracked AP classified '+', '-' or '?'; all '?' on
     the sink), numbered by a small int, is computed once per combination
     of classes, and a table gives every cell its signature.  The reach
@@ -659,18 +659,21 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
         if p not in spec.ap_regions:
             raise ValueError(f"no region for tracked AP {p!r}")
     # tau soundness depends on the geometry of every AP region in the
-    # spec, not only the tracked ones
-    tv = validate_tau(spec)
+    # spec, not only the tracked ones; it and ``cells`` build the grid
+    try:
+        tv = validate_tau(spec)
+        cells = spec.cells
+    except MemoryError:
+        raise MemoryError(f"the grid has {spec.n_cells:,} cells, too many "
+                          f"to build") from None
     if not tv.passed and not force:
         raise TauValidationError(
             f"tau={spec.tau} exceeds tau_max={tv.tau_max:.6g} "
             f"(v_max={tv.v_max}); pass force=True to override")
 
-    cells = spec.cells
     sink = len(cells)            # the sink's id, if there is a sink
     regions = [spec.ap_regions[p] for p in aps]
-    intervals = [[spec.axis_interval(a, k) for k in range(kmin, kmax + 1)]
-                 for a, (kmin, kmax) in enumerate(spec.grid_ranges)]
+    intervals = [list(zip(e, e[1:])) for e in spec.edges]
     # (kmin, row-major stride) per axis
     shape = [(kmin, math.prod(map(len, intervals[a + 1:])))
              for a, (kmin, _) in enumerate(spec.grid_ranges)]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .ltl import (NAnd, NFalse, NOr, NRelease, NTrue, NUntil, NegAtom, Nnf,
-                  PosAtom, formula_str, subformulas, to_nnf)
+                  PosAtom, subformulas, to_nnf)
 from .observations import NEG, OBS, consistency
 
 __all__ = [
@@ -36,7 +36,6 @@ class Automaton:
     edges: frozenset         # (src, label, dst)
     initial: object
     accepting: tuple         # tuple of frozensets of states
-    accepting_for: tuple = ()  # formula strings naming each accepting set
 
     @property
     def n_states(self):
@@ -147,17 +146,15 @@ def build_gba(f):
         edges += [(v, lbl, v2) for lbl, v2 in ts]
 
     accepting = []
-    accepting_for = []
     for g in sub:
         if isinstance(g, (NUntil, NRelease)):
             i, r = idx[g], idx[g.right]
             x, y = ("N", "A") if isinstance(g, NUntil) else ("A", "N")
             accepting.append(frozenset(
                 v for v in states if v[r] != x or v[i] != y))
-            accepting_for.append(formula_str(g))
 
     return Automaton(aps, frozenset(states | {Q0}), frozenset(edges), Q0,
-                     tuple(accepting), tuple(accepting_for))
+                     tuple(accepting))
 
 
 # ---------------------------------------------------------------------------

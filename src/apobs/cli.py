@@ -118,7 +118,7 @@ def cmd_scenario(args):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-        print(f"wrote {args.out} ({len(spec.cells)} grid cells)")
+        print(f"wrote {args.out} ({spec.n_cells} grid cells)")
     else:
         print(text)
     return EXIT_VERIFIED

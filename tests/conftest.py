@@ -143,20 +143,17 @@ def full_gba_reference(f):
             edges.add((Q0, label(v2), v2))
 
     accepting = []
-    accepting_for = []
     for g in sub:
         if isinstance(g, NUntil):
             i, r = idx[g], idx[g.right]
             accepting.append(frozenset(
                 v for v in states if v[r] != "N" or v[i] != "A"))
-            accepting_for.append(formula_str(g))
         elif isinstance(g, NRelease):
             i, r = idx[g], idx[g.right]
             accepting.append(frozenset(
                 v for v in states if v[r] != "A" or v[i] != "N"))
-            accepting_for.append(formula_str(g))
     return Automaton(aps, frozenset(states) | {Q0}, frozenset(edges), Q0,
-                     tuple(accepting), tuple(accepting_for))
+                     tuple(accepting))
 
 
 def _gfg_reference():
@@ -172,8 +169,7 @@ def _gfg_reference():
     }
     return Automaton(("g",), frozenset({Q0, "q1", "q2", "q3"}),
                      frozenset(edges), Q0,
-                     (frozenset({"q2", "q3"}), frozenset({"q1", "q2", "q3"})),
-                     ("F g", "G F g"))
+                     (frozenset({"q2", "q3"}), frozenset({"q1", "q2", "q3"})))
 
 
 def gba_isomorphic(a, b):
@@ -253,8 +249,7 @@ def prune(a):
     edges = frozenset((s, o, d) for s, o, d in a.edges
                       if s in keep and d in keep)
     return Automaton(a.aps, frozenset(keep), edges, init,
-                     tuple(frozenset(fs & keep) for fs in a.accepting),
-                     a.accepting_for)
+                     tuple(frozenset(fs & keep) for fs in a.accepting))
 
 
 def trim_reference(a):
@@ -739,9 +734,9 @@ def random_spec(draw):
 @st.composite
 def edge_spec(draw):
     """A small 1-, 2- or 3-D spec whose AP thresholds all sit exactly on
-    a cell edge, k*eta - eta/2 or k*eta + eta/2 (the floats of
-    ``axis_interval``), or on a domain edge, with a uniform or table
-    field and any tau (build it with ``force=True``)."""
+    a cell edge (a float of ``SystemSpec.edges``), on k*eta - eta/2 or
+    k*eta + eta/2, or on a domain edge, with a uniform or table field and
+    any tau (build it with ``force=True``)."""
     dim = draw(st.integers(1, 3))
     eta = draw(st.sampled_from((0.5, 0.6, 0.7, 1.0)))
     domain = tuple(draw(_interval(eta, max_k=5 - dim)) for _ in range(dim))
@@ -755,7 +750,7 @@ def edge_spec(draw):
                            if draw(st.booleans())}}
     edges = [sorted({*(k * eta - eta / 2 for k in range(kmin, kmax + 1)),
                      *(k * eta + eta / 2 for k in range(kmin, kmax + 1)),
-                     *domain[a]})
+                     *probe.edges[a], *domain[a]})
              for a, (kmin, kmax) in enumerate(probe.grid_ranges)]
 
     def half_space():

@@ -525,9 +525,11 @@ class TestGridCoverage:
 
 
 class TestKnownDefects:
-    """The two known defects of the model (ROADMAP): a wrong VERIFIED,
+    """The known defects of the model (ROADMAP): a wrong VERIFIED,
     although validate_tau passes (verify would raise otherwise).  Each
-    test asserts the sound verdict and fails until its defect is mended."""
+    test asserts the sound verdict.  Those of the open defects, 1 and 2,
+    fail until their defect is mended; that of the mended defect 3
+    passes."""
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="ROADMAP known defect #1")
@@ -563,6 +565,25 @@ class TestKnownDefects:
             ap_regions={"p": (((0, "ge", -0.3), (0, "le", 0.3)),)})
         report, _ = verify(spec, "G !p")
         assert report.verdict == "INCONCLUSIVE"
+
+    def test_point_on_a_float_cell_edge(self):
+        # ROADMAP known defect #3, mended: p holds at x_in = -37.95, which
+        # lies just below the float edge -37.949999999999996 of cell -379,
+        # so it belongs to cell -380, classified '?' for p, not '-'
+        spec = SystemSpec(
+            dim=1, domain=((-38.45, -37.05),), eta=0.1, tau=0.1,
+            x_in=(-37.95,),
+            modes={"default": Mode(u=(-1.0,)), "up": Mode(u=(1.0,))},
+            field={"kind": "table", "default": "default",
+                   "cells": {(k,): "up" for k in range(-384, -376)}},
+            ap_regions={"p": (((0, "le", -37.95),),)})
+        assert gamma(spec.x_in, spec) == (-380,)
+        assert cell_box(spec, (-380,)) == [(-38.05, -37.949999999999996)]
+        verdicts = [verify(spec, f)[0].verdict for f in ("!p", "G !p")]
+        assert verdicts == ["INCONCLUSIVE"] * 2
+        cells, word = simulate_trajectory(spec, 3, seed=0)
+        assert word[0] == (("p", "Z"),)
+        assert is_run_of(build_symbolic_model(spec), cells, word)
 
 
 class TestRandomSpecs:

@@ -72,10 +72,6 @@ class TestBuildGba:
             got = _consistent_targets(tables, (2,) * (len(sub) - 1) + (1,))
             assert len(set(got)) == len(got) and set(got) == root_true
 
-    def test_accepting_sets_named(self):
-        a = build_gba(to_nnf(parse_ltl("G F g")))
-        assert list(a.accepting_for) == ["true U g", "false R true U g"]
-
 
 def _reachable_part(a):
     """The sub-automaton of ``a`` reachable from Q0."""
@@ -90,8 +86,7 @@ def _reachable_part(a):
     states = frozenset(seen)
     return Automaton(a.aps, states,
                      frozenset(e for e in a.edges if e[0] in seen), Q0,
-                     tuple(fs & states for fs in a.accepting),
-                     a.accepting_for)
+                     tuple(fs & states for fs in a.accepting))
 
 
 class TestForwardBuild:
@@ -117,7 +112,6 @@ class TestForwardBuild:
             assert a.states == part.states, formula_str(f)
             assert a.edges == part.edges, formula_str(f)
             assert a.accepting == part.accepting, formula_str(f)
-            assert a.accepting_for == part.accepting_for, formula_str(f)
             smaller += a.n_states < ref.n_states
         # the cases include valuations that Q0 never reaches
         assert smaller > 0

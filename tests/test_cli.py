@@ -195,6 +195,24 @@ class TestMalformedSpec:
                      "--repeat", "1"]) == EXIT_ERROR
         assert "expected an object" in capsys.readouterr().err
 
+    def test_grid_too_large(self, spec_file, tmp_path, monkeypatch, capsys):
+        # the drone at eta 0.001 has 33,001**2 cells; building them is
+        # made to run out of memory instead of being tried
+        def out_of_memory(spec):
+            raise MemoryError
+        for name in ("cells", "cell_modes"):
+            monkeypatch.setattr(SystemSpec, name, property(out_of_memory))
+        assert main(["verify", "--system", spec_file, "--formula", "G r",
+                     "--eta", "0.001"]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: stage 'model': the grid has 1,089,066,001 cells, too "
+            "many to build\n")
+        # writing the spec counts the cells without building them
+        out = tmp_path / "fine.json"
+        assert main(["scenario", "drone", "--eta", "0.001",
+                     "--out", str(out)]) == EXIT_VERIFIED
+        assert "1089066001 grid cells" in capsys.readouterr().out
+
 
 def test_exports_independent_of_hash_seed(spec_file, tmp_path):
     # automaton states and game vertices hold strings, whose hashes
