@@ -510,11 +510,11 @@ class _Transitions(Mapping):
     letters are kept, one per code.
 
     State id i names ``state(i)``: the model's ``states`` in order, then
-    any other state (the sink, a successor outside ``states``).  A
+    the sink, if there is one.  A
     transition (o, q2) is the pair int ``letter_code(o, aps) * n_ids +
     state_id(q2)``, and ``row(i)`` is the tuple of state i's pair ints in
-    transition order, each pair once.  A model from
-    ``build_symbolic_model`` computes a row the first time it is read."""
+    transition order, each pair once, computed by ``outgoing(i)`` the
+    first time it is read."""
 
     def __init__(self, ids, keys, index, outgoing, aps):
         self._ids = ids              # state id -> state
@@ -554,53 +554,23 @@ class _Transitions(Mapping):
         return len(self._keys)
 
 
-def _encode(aps, states, q_in, transitions):
-    """The ``_Transitions`` of a model given as a dict state -> tuple of
-    (label, successor): states outside ``states`` get ids in the order
-    first met among the keys, the successors and ``q_in``.  A repeated
-    transition is kept once; a label whose APs are not ``aps`` in order
-    raises a ValueError."""
-    ids = list(dict.fromkeys(itertools.chain(
-        states, transitions,
-        (q2 for outs in transitions.values() for _, q2 in outs), (q_in,))))
-    index = {q: i for i, q in enumerate(ids)}
-    rows = [()] * len(ids)
-    for q, outs in transitions.items():
-        rows[index[q]] = tuple(dict.fromkeys(
-            len(ids) * letter_code(o, aps) + index[q2] for o, q2 in outs))
-    return _Transitions(ids, dict.fromkeys(index[q] for q in transitions),
-                        index.get, rows.__getitem__, aps)
-
-
 @dataclass(frozen=True)
 class SymbolicModel:
-    """A finite symbolic model.  ``transitions`` maps every state, the
-    cells in grid order and then the sink if there is one, to a tuple of
-    (label, successor), stored once as integer rows (see ``_Transitions``).
-    A dict given by hand is encoded into the same rows; its labels must
-    list ``aps`` in order.  In a model from ``build_symbolic_model`` a
-    state's row is computed when first read; iterating the map
-    (``items()``, ``values()``, ``edges()``, ``==``) computes all of them,
-    so every reader sees the full model."""
+    """A finite symbolic model, made by ``build_symbolic_model``.
+    ``transitions`` maps every state, the cells in grid order and then the
+    sink if there is one, to a tuple of (label, successor), stored once as
+    integer rows (see ``_Transitions``).  A state's row is computed when
+    first read; iterating the map (``items()``, ``values()``, ``==``)
+    computes all of them, so every reader sees the full model."""
     aps: tuple
     states: tuple             # grid cells; the sink (if any) is extra
     q_in: tuple
     transitions: Mapping      # state -> tuple of (label, successor)
     has_sink: bool
 
-    def __post_init__(self):
-        if not isinstance(self.transitions, _Transitions):
-            object.__setattr__(self, "transitions", _encode(
-                self.aps, self.states, self.q_in, self.transitions))
-
     @property
     def n_states(self):
         return len(self.states)
-
-    def edges(self):
-        for q, outs in self.transitions.items():
-            for o, q2 in outs:
-                yield q, o, q2
 
 
 def _labels_for(sig, sig2, aps, drop_multi_change):

@@ -1,4 +1,4 @@
-"""AP-observation automata: construction from NNF formulas, trimming,
+"""AP-observation automata: construction from LTL formulas, trimming,
 minimization, degeneralization and DOT export.
 
 One type, ``Automaton``, serves every stage: it carries one accepting set
@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .ltl import (NAnd, NFalse, NOr, NRelease, NTrue, NUntil, NegAtom, Nnf,
-                  PosAtom, subformulas, to_nnf)
+from .ltl import (And, Atom, FalseF, Not, Or, Release, TrueF, Until,
+                  subformulas, to_nnf)
 from .observations import NEG, OBS, consistency
 
 __all__ = [
@@ -52,6 +52,10 @@ class Automaton:
 # ---------------------------------------------------------------------------
 # Construction
 
+# the consistency table each binary connective reads
+_CONNECTIVE = {And: "and", Or: "or", Until: "U", Release: "R"}
+
+
 def _position_tables(sub):
     """Per closure position ``(i, j, by_mask)``: ``by_mask[m][v[i], v[j]]``
     are the observations that operands ``v[i]``, ``v[j]`` allow there, of
@@ -66,18 +70,16 @@ def _position_tables(sub):
 
     out = []
     for g in sub:
-        if isinstance(g, NegAtom):
-            i = j = idx[PosAtom(g.name)]
+        if isinstance(g, Not):
+            i = j = idx[g.child]
             cells = {(o, o): NEG[o] for o in OBS}
-        elif isinstance(g, (NAnd, NOr, NUntil, NRelease)):
-            conn = {NAnd: "and", NOr: "or", NUntil: "U",
-                    NRelease: "R"}[type(g)]
+        elif type(g) in _CONNECTIVE:
             i, j = idx[g.left], idx[g.right]
-            cells = {(o1, o2): consistency(conn, o1, o2)
+            cells = {(o1, o2): consistency(_CONNECTIVE[type(g)], o1, o2)
                      for o1 in OBS for o2 in OBS}
         else:
             i = j = None
-            vals = {NTrue: "A", NFalse: "N", PosAtom: OBS}[type(g)]
+            vals = {TrueF: "A", FalseF: "N", Atom: OBS}[type(g)]
             cells = {c: [o for o in vals if (o in "ZE") == c]
                      for c in (False, True)}
         cols = zip(*map(by_mask, cells.values()))
@@ -104,7 +106,9 @@ def _consistent_targets(tables, mask):
 
 
 def build_gba(f):
-    """Build the generalized AP-observation automaton for an NNF formula.
+    """Build the generalized AP-observation automaton for a formula, over
+    the subformula closure of its negation normal form (``to_nnf``, which
+    leaves a formula already in that form unchanged).
 
     Its states are the initial state Q0 and the consistent valuations
     reachable from it over valid letters; the accepting sets hold
@@ -114,13 +118,11 @@ def build_gba(f):
     A signature's targets are generated when a reached valuation first
     has it, so no unreached valuation or invalid edge is ever made.
     """
-    if not isinstance(f, Nnf):
-        f = to_nnf(f)
-    sub = subformulas(f)
+    sub = subformulas(to_nnf(f))
     idx = {g: i for i, g in enumerate(sub)}
-    aps = tuple(sorted(g.name for g in sub if isinstance(g, PosAtom)))
+    aps = tuple(sorted(g.name for g in sub if isinstance(g, Atom)))
     # one (ap, observation) pair object per build, shared by every label
-    ap_pairs = [(idx[PosAtom(p)], {o: (p, o) for o in OBS}) for p in aps]
+    ap_pairs = [(idx[Atom(p)], {o: (p, o) for o in OBS}) for p in aps]
     tables = _position_tables(sub)
 
     def targets(mask):
@@ -147,9 +149,9 @@ def build_gba(f):
 
     accepting = []
     for g in sub:
-        if isinstance(g, (NUntil, NRelease)):
+        if isinstance(g, (Until, Release)):
             i, r = idx[g], idx[g.right]
-            x, y = ("N", "A") if isinstance(g, NUntil) else ("A", "N")
+            x, y = ("N", "A") if isinstance(g, Until) else ("A", "N")
             accepting.append(frozenset(
                 v for v in states if v[r] != x or v[i] != y))
 

@@ -330,7 +330,7 @@ def verify(spec, formula, repeat=1, allow_unsound_tau=False):
     averages over ``repeat`` runs of the automaton, model, game build and
     solve sequence; each run builds its own automaton, model and game.
 
-    ``formula`` may be LTL text or a Formula/Nnf object.
+    ``formula`` may be LTL text or an ``apobs.ltl.Formula``.
 
     ``times["model"]`` covers only the up-front part of the model build,
     the spec's one-time field resolution included: the transitions of

@@ -1,5 +1,9 @@
 """LTL parsing, negation normal form, and subformula closure.
 
+One AST, ``Formula``, serves the parsed and the normalized formula:
+negation normal form (``to_nnf``) is the shape in which ``Not`` sits only
+directly over an ``Atom`` and no ``Next`` occurs.
+
 The surface syntax uses ASCII operators: ``! & | U R F G X true false``.
 Precedence (tightest first): unary (``!``, ``F``, ``G``, ``X``), then
 ``U``/``R`` (right-associative), then ``&``, then ``|``.
@@ -16,8 +20,6 @@ from dataclasses import dataclass
 __all__ = [
     "Formula", "TrueF", "FalseF", "Atom", "Not", "And", "Or", "Until",
     "Release", "Next",
-    "Nnf", "NTrue", "NFalse", "PosAtom", "NegAtom", "NAnd", "NOr",
-    "NUntil", "NRelease",
     "LtlSyntaxError", "UnsupportedOperatorError",
     "parse_ltl", "to_nnf", "subformulas", "atoms", "formula_str",
 ]
@@ -37,7 +39,8 @@ class UnsupportedOperatorError(ValueError):
 # ASTs
 
 class Formula:
-    """Base class for raw (possibly negated) formulas."""
+    """Base class of the formula AST.  A formula is in negation normal
+    form when every ``Not`` wraps an ``Atom`` and no ``Next`` occurs."""
     __slots__ = ()
 
 
@@ -88,55 +91,6 @@ class Release(Formula):
 @dataclass(frozen=True)
 class Next(Formula):
     child: Formula
-
-
-class Nnf:
-    """Base class for negation-normal-form formulas."""
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class NTrue(Nnf):
-    pass
-
-
-@dataclass(frozen=True)
-class NFalse(Nnf):
-    pass
-
-
-@dataclass(frozen=True)
-class PosAtom(Nnf):
-    name: str
-
-
-@dataclass(frozen=True)
-class NegAtom(Nnf):
-    name: str
-
-
-@dataclass(frozen=True)
-class NAnd(Nnf):
-    left: Nnf
-    right: Nnf
-
-
-@dataclass(frozen=True)
-class NOr(Nnf):
-    left: Nnf
-    right: Nnf
-
-
-@dataclass(frozen=True)
-class NUntil(Nnf):
-    left: Nnf
-    right: Nnf
-
-
-@dataclass(frozen=True)
-class NRelease(Nnf):
-    left: Nnf
-    right: Nnf
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +200,13 @@ def parse_ltl(text):
 # ---------------------------------------------------------------------------
 # Negation normal form
 
+# the dual of each binary connective: !(a op b) is !a dual(op) !b
+_DUAL = {And: Or, Or: And, Until: Release, Release: Until}
+
+
 def to_nnf(f):
-    """Convert a Formula to negation normal form.
+    """Convert a Formula to negation normal form: the same Formula types,
+    with ``Not`` only directly over an ``Atom``.  Idempotent.
 
     Rejects the Next operator: discrete-time operators are not supported for
     continuous-time LTL.
@@ -257,37 +216,20 @@ def to_nnf(f):
 
 def _nnf(f, neg):
     if isinstance(f, TrueF):
-        return NFalse() if neg else NTrue()
+        return FalseF() if neg else f
     if isinstance(f, FalseF):
-        return NTrue() if neg else NFalse()
+        return TrueF() if neg else f
     if isinstance(f, Atom):
-        return NegAtom(f.name) if neg else PosAtom(f.name)
+        return Not(f) if neg else f
     if isinstance(f, Not):
         return _nnf(f.child, not neg)
-    if isinstance(f, And):
-        if neg:
-            return NOr(_nnf(f.left, True), _nnf(f.right, True))
-        return NAnd(_nnf(f.left, False), _nnf(f.right, False))
-    if isinstance(f, Or):
-        if neg:
-            return NAnd(_nnf(f.left, True), _nnf(f.right, True))
-        return NOr(_nnf(f.left, False), _nnf(f.right, False))
-    if isinstance(f, Until):
-        if neg:
-            return NRelease(_nnf(f.left, True), _nnf(f.right, True))
-        return NUntil(_nnf(f.left, False), _nnf(f.right, False))
-    if isinstance(f, Release):
-        if neg:
-            return NUntil(_nnf(f.left, True), _nnf(f.right, True))
-        return NRelease(_nnf(f.left, False), _nnf(f.right, False))
     if isinstance(f, Next):
         raise UnsupportedOperatorError(
             "discrete-time operator not supported for continuous-time LTL")
-    if isinstance(f, Nnf):  # already normalized
-        if neg:
-            raise ValueError("cannot negate an NNF formula in place")
-        return f
-    raise TypeError(f"not a formula: {f!r}")
+    if type(f) not in _DUAL:
+        raise TypeError(f"not a formula: {f!r}")
+    op = _DUAL[type(f)] if neg else type(f)
+    return op(_nnf(f.left, neg), _nnf(f.right, neg))
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +238,8 @@ def _nnf(f, neg):
 def subformulas(f):
     """Topologically ordered, duplicate-free subformula closure of an NNF
     formula.  Children precede parents; the root is last.  A negated atom
-    counts its positive atom as a child (observations of literals are
-    derived from the atom's observation by involution).
+    ``Not(Atom(p))`` has ``Atom(p)`` as its child (observations of literals
+    are derived from the atom's observation by involution).
     """
     out = []
     seen = set()
@@ -305,11 +247,11 @@ def subformulas(f):
     def visit(g):
         if g in seen:
             return
-        if isinstance(g, (NAnd, NOr, NUntil, NRelease)):
+        if type(g) in _DUAL:
             visit(g.left)
             visit(g.right)
-        elif isinstance(g, NegAtom):
-            visit(PosAtom(g.name))
+        elif isinstance(g, Not):
+            visit(g.child)
         seen.add(g)
         out.append(g)
 
@@ -320,36 +262,34 @@ def subformulas(f):
 def atoms(f):
     """Sorted tuple of atomic proposition names occurring in an NNF formula."""
     return tuple(sorted({s.name for s in subformulas(f)
-                         if isinstance(s, PosAtom)}))
+                         if isinstance(s, Atom)}))
 
 
 def formula_str(f):
-    """Render a Formula or Nnf back to the surface syntax."""
+    """Render a Formula back to the surface syntax."""
     return _render(f, 0)
 
 
 # precedence levels used when rendering: | = 0, & = 1, U/R = 2, unary = 3
 def _render(f, ctx):
-    if isinstance(f, (TrueF, NTrue)):
+    if isinstance(f, TrueF):
         return "true"
-    if isinstance(f, (FalseF, NFalse)):
+    if isinstance(f, FalseF):
         return "false"
-    if isinstance(f, (Atom, PosAtom)):
+    if isinstance(f, Atom):
         return f.name
-    if isinstance(f, NegAtom):
-        return "!" + f.name
     if isinstance(f, Not):
         return "!" + _render(f.child, 3)
     if isinstance(f, Next):
         return "X " + _render(f.child, 3)
-    if isinstance(f, (Or, NOr)):
+    if isinstance(f, Or):
         s = _render(f.left, 0) + " | " + _render(f.right, 0)
         return "(" + s + ")" if ctx > 0 else s
-    if isinstance(f, (And, NAnd)):
+    if isinstance(f, And):
         s = _render(f.left, 1) + " & " + _render(f.right, 1)
         return "(" + s + ")" if ctx > 1 else s
-    if isinstance(f, (Until, NUntil, Release, NRelease)):
-        op = "U" if isinstance(f, (Until, NUntil)) else "R"
+    if isinstance(f, (Until, Release)):
+        op = "U" if isinstance(f, Until) else "R"
         # right-associative; parenthesize a binary-temporal left child
         s = _render(f.left, 3) + f" {op} " + _render(f.right, 2)
         return "(" + s + ")" if ctx > 2 else s

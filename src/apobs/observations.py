@@ -73,26 +73,15 @@ _TABLES = {
     "R": _normalize(_dualize(_UNTIL)),
 }
 
-_CONN_ALIASES = {
-    "and": "and", "&": "and", "∧": "and",
-    "or": "or", "|": "or", "∨": "or",
-    "U": "U", "until": "U",
-    "R": "R", "release": "R",
-}
-
 
 def consistency(connective, o1, o2):
-    """Return the set of observations consistent for ``o1 <connective> o2``.
-
-    ``connective`` is one of and/or/U/R (symbols ``& | U R`` accepted).
-    """
-    try:
-        conn = _CONN_ALIASES[connective]
-    except KeyError:
-        raise ValueError(f"unknown connective {connective!r}") from None
+    """Return the set of observations consistent for ``o1 <connective> o2``,
+    where ``connective`` is one of ``and``, ``or``, ``U``, ``R``."""
+    if connective not in _TABLES:
+        raise ValueError(f"unknown connective {connective!r}")
     if o1 not in OBS or o2 not in OBS:
         raise ValueError(f"not observations: {o1!r}, {o2!r}")
-    return _TABLES[conn][(o1, o2)]
+    return _TABLES[connective][(o1, o2)]
 
 
 # memoized: a query reads few distinct letters, each many times

@@ -9,16 +9,15 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from apobs.abstraction import (SINK, _P_E, _P_Z, Mode, SystemSpec,
-                               box_vs_region, gamma, patrol_theta,
-                               region_contains, validate_tau,
-                               velocity_extents)
+from apobs.abstraction import (SINK, _P_E, _P_Z, Mode, SymbolicModel,
+                               SystemSpec, _Transitions, box_vs_region,
+                               gamma, patrol_theta, region_contains,
+                               validate_tau, velocity_extents)
 from apobs.automata import Automaton, Q0, _reachable
 from apobs.ltl import (Atom, And, FalseF, Not, Or, Release, TrueF, Until,
-                       NAnd, NFalse, NOr, NRelease, NTrue, NUntil, NegAtom,
-                       Nnf, PosAtom, formula_str, subformulas, to_nnf)
+                       formula_str, subformulas, to_nnf)
 from apobs.observations import (NEG, OBS, MultiChange, UndefinedSlice,
-                                consistency)
+                                consistency, letter_code)
 from semantics import (PiecewiseSignal, SignalWord, _PositionLasso, _sccs,
                        _classify_positions, _slice_positions, _to_frac,
                        is_signal_word)
@@ -45,11 +44,11 @@ def rand_formula(rng, depth, aps):
 
 
 def rand_nnf(rng, depth, aps):
-    """Random NNF formula."""
+    """Random NNF formula (``Not`` only over an atom, no constant)."""
     if depth == 0 or rng.random() < 0.3:
-        p = rng.choice(aps)
-        return PosAtom(p) if rng.random() < 0.5 else NegAtom(p)
-    cls = rng.choice([NAnd, NOr, NUntil, NRelease])
+        p = Atom(rng.choice(aps))
+        return p if rng.random() < 0.5 else Not(p)
+    cls = rng.choice([And, Or, Until, Release])
     return cls(rand_nnf(rng, depth - 1, aps),
                rand_nnf(rng, depth - 1, aps))
 
@@ -58,6 +57,10 @@ def rand_nnf(rng, depth, aps):
 # Two reference valuation enumerators and the eager automaton builder
 # (references for build_gba, which generates valuations per signature)
 
+# the consistency table each binary connective reads
+_CONNECTIVE = {And: "and", Or: "or", Until: "U", Release: "R"}
+
+
 def _consistent_valuations_bruteforce(sub):
     """Filter the full product O^|sub| by the consistency conditions."""
     idx = {g: i for i, g in enumerate(sub)}
@@ -65,16 +68,15 @@ def _consistent_valuations_bruteforce(sub):
     for v in itertools.product(OBS, repeat=len(sub)):
         ok = True
         for i, g in enumerate(sub):
-            if isinstance(g, NTrue):
+            if isinstance(g, TrueF):
                 ok = v[i] == "A"
-            elif isinstance(g, NFalse):
+            elif isinstance(g, FalseF):
                 ok = v[i] == "N"
-            elif isinstance(g, NegAtom):
-                ok = v[i] == NEG[v[idx[PosAtom(g.name)]]]
-            elif isinstance(g, (NAnd, NOr, NUntil, NRelease)):
-                conn = {NAnd: "and", NOr: "or", NUntil: "U",
-                        NRelease: "R"}[type(g)]
-                ok = v[i] in consistency(conn, v[idx[g.left]], v[idx[g.right]])
+            elif isinstance(g, Not):
+                ok = v[i] == NEG[v[idx[g.child]]]
+            elif type(g) in _CONNECTIVE:
+                ok = v[i] in consistency(_CONNECTIVE[type(g)],
+                                         v[idx[g.left]], v[idx[g.right]])
             if not ok:
                 break
         if ok:
@@ -89,18 +91,17 @@ def _consistent_valuations_bottomup(sub):
     partials = [()]
     for g in sub:
         nxt = []
-        if isinstance(g, NTrue):
+        if isinstance(g, TrueF):
             opts = lambda v: ("A",)
-        elif isinstance(g, NFalse):
+        elif isinstance(g, FalseF):
             opts = lambda v: ("N",)
-        elif isinstance(g, PosAtom):
+        elif isinstance(g, Atom):
             opts = lambda v: OBS
-        elif isinstance(g, NegAtom):
-            i = idx[PosAtom(g.name)]
+        elif isinstance(g, Not):
+            i = idx[g.child]
             opts = lambda v, i=i: (NEG[v[i]],)
         else:
-            conn = {NAnd: "and", NOr: "or", NUntil: "U",
-                    NRelease: "R"}[type(g)]
+            conn = _CONNECTIVE[type(g)]
             li, ri = idx[g.left], idx[g.right]
             opts = lambda v, conn=conn, li=li, ri=ri: \
                 sorted(consistency(conn, v[li], v[ri]))
@@ -116,15 +117,13 @@ def full_gba_reference(f):
     every edge the transition condition allows, valid letter or not,
     reachable from Q0 or not: ``build_gba`` makes its part reachable from
     Q0 over valid letters."""
-    if not isinstance(f, Nnf):
-        f = to_nnf(f)
-    sub = subformulas(f)
+    sub = subformulas(to_nnf(f))
     idx = {g: i for i, g in enumerate(sub)}
-    aps = tuple(sorted(g.name for g in sub if isinstance(g, PosAtom)))
+    aps = tuple(sorted(g.name for g in sub if isinstance(g, Atom)))
     states = _consistent_valuations_bottomup(sub)
 
     def label(v):
-        return tuple((p, v[idx[PosAtom(p)]]) for p in aps)
+        return tuple((p, v[idx[Atom(p)]]) for p in aps)
 
     # an edge v -> v2 exists when v's observations in {A,E} are exactly
     # v2's observations in {A,Z}, subformula by subformula
@@ -144,11 +143,11 @@ def full_gba_reference(f):
 
     accepting = []
     for g in sub:
-        if isinstance(g, NUntil):
+        if isinstance(g, Until):
             i, r = idx[g], idx[g.right]
             accepting.append(frozenset(
                 v for v in states if v[r] != "N" or v[i] != "A"))
-        elif isinstance(g, NRelease):
+        elif isinstance(g, Release):
             i, r = idx[g], idx[g.right]
             accepting.append(frozenset(
                 v for v in states if v[r] != "A" or v[i] != "N"))
@@ -382,28 +381,26 @@ def eval_discrete(f, positions, p, l, j):
         return out
 
     def _ev(g, k):
-        if isinstance(g, (TrueF, NTrue)):
+        if isinstance(g, TrueF):
             return True
-        if isinstance(g, (FalseF, NFalse)):
+        if isinstance(g, FalseF):
             return False
-        if isinstance(g, (Atom, PosAtom)):
+        if isinstance(g, Atom):
             return g.name in positions[k]
-        if isinstance(g, NegAtom):
-            return g.name not in positions[k]
         if isinstance(g, Not):
             return not ev(g.child, k)
-        if isinstance(g, (And, NAnd)):
+        if isinstance(g, And):
             return ev(g.left, k) and ev(g.right, k)
-        if isinstance(g, (Or, NOr)):
+        if isinstance(g, Or):
             return ev(g.left, k) or ev(g.right, k)
-        if isinstance(g, (Until, NUntil)):
+        if isinstance(g, Until):
             for k2 in range(k, p + 2 * l):
                 if ev(g.right, k2):
                     return True
                 if not ev(g.left, k2):
                     return False
             return False
-        if isinstance(g, (Release, NRelease)):
+        if isinstance(g, Release):
             for k2 in range(k, p + 2 * l):
                 if not ev(g.right, k2):
                     return False
@@ -813,12 +810,31 @@ def sampled_trajectory(spec, horizon, seed, tracked_aps=None):
 
 
 # ---------------------------------------------------------------------------
-# Random tiny symbolic models and automata (game-vs-language cross-checks)
+# Hand-made and random tiny symbolic models and automata (game-vs-language
+# cross-checks)
+
+def hand_model(aps, states, q_in, transitions, has_sink=False):
+    """The ``SymbolicModel`` of a dict state -> tuple of (label, successor),
+    encoded into the integer rows ``build_symbolic_model`` makes.  States
+    outside ``states`` get ids in the order first met among the keys, the
+    successors and ``q_in``.  A repeated transition is kept once; a label
+    whose APs are not ``aps`` in order raises a ValueError."""
+    ids = list(dict.fromkeys(itertools.chain(
+        states, transitions,
+        (q2 for outs in transitions.values() for _, q2 in outs), (q_in,))))
+    index = {q: i for i, q in enumerate(ids)}
+    rows = [()] * len(ids)
+    for q, outs in transitions.items():
+        rows[index[q]] = tuple(dict.fromkeys(
+            len(ids) * letter_code(o, aps) + index[q2] for o, q2 in outs))
+    keys = dict.fromkeys(index[q] for q in transitions)
+    return SymbolicModel(aps, states, q_in, _Transitions(
+        ids, keys, index.get, rows.__getitem__, aps), has_sink)
+
 
 def rand_model(rng, letters, max_states=4):
     """Random total symbolic model over the given labels (every state has
     at least one outgoing transition, so all runs are infinite)."""
-    from apobs.abstraction import SymbolicModel
     n = rng.randrange(1, max_states + 1)
     states = [(i,) for i in range(n)]
     transitions = {}
@@ -828,8 +844,8 @@ def rand_model(rng, letters, max_states=4):
         for _ in range(deg):
             outs.add((rng.choice(letters), rng.choice(states)))
         transitions[q] = tuple(sorted(outs))
-    return SymbolicModel(tuple(sorted({p for o in letters for p, _ in o})),
-                         tuple(states), states[0], transitions, False)
+    return hand_model(tuple(sorted({p for o in letters for p, _ in o})),
+                      tuple(states), states[0], transitions)
 
 
 def rand_nba(rng, letters, max_states=3):

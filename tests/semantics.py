@@ -15,8 +15,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from apobs.ltl import (NAnd, NFalse, NOr, NRelease, NTrue, NUntil, NegAtom,
-                       PosAtom, subformulas)
+from apobs.ltl import (And, Atom, FalseF, Not, Or, Release, TrueF, Until,
+                       subformulas)
 from apobs.observations import (NEG, OBS, ChoppingError, MultiChange,
                                 UndefinedSlice, consistency)
 
@@ -267,23 +267,23 @@ class _PositionLasso:
         """Truth vector of an NNF formula over the canonical positions."""
         if f in self._memo:
             return self._memo[f]
-        if isinstance(f, NTrue):
+        if isinstance(f, TrueF):
             v = [True] * self.n
-        elif isinstance(f, NFalse):
+        elif isinstance(f, FalseF):
             v = [False] * self.n
-        elif isinstance(f, PosAtom):
+        elif isinstance(f, Atom):
             v = self.atom_truth(f.name)
-        elif isinstance(f, NegAtom):
-            v = [not x for x in self.truth(PosAtom(f.name))]
-        elif isinstance(f, NAnd):
+        elif isinstance(f, Not):
+            v = [not x for x in self.truth(f.child)]
+        elif isinstance(f, And):
             a, b = self.truth(f.left), self.truth(f.right)
             v = [x and y for x, y in zip(a, b)]
-        elif isinstance(f, NOr):
+        elif isinstance(f, Or):
             a, b = self.truth(f.left), self.truth(f.right)
             v = [x or y for x, y in zip(a, b)]
-        elif isinstance(f, NUntil):
+        elif isinstance(f, Until):
             v = self._until(self.truth(f.left), self.truth(f.right))
-        elif isinstance(f, NRelease):
+        elif isinstance(f, Release):
             a = [not x for x in self.truth(f.left)]
             b = [not x for x in self.truth(f.right)]
             v = [not x for x in self._until(a, b)]
@@ -403,7 +403,7 @@ def chop(signal, tau, aps=None):
 
     cuts = [k * tau for k in range(n_slices + 1)]
     pl = _PositionLasso(signal, cuts=cuts)
-    truth = {p: pl.truth(PosAtom(p)) for p in aps}
+    truth = {p: pl.truth(Atom(p)) for p in aps}
 
     letters = []
     for k in range(n_slices):
@@ -510,23 +510,23 @@ def unique_run_oracle(w, f):
     n = P + L
     seqs = {}
     for g in sub:  # children first (topological order)
-        if isinstance(g, NTrue):
+        if isinstance(g, TrueF):
             s = ["A"] * n
-        elif isinstance(g, NFalse):
+        elif isinstance(g, FalseF):
             s = ["N"] * n
-        elif isinstance(g, PosAtom):
+        elif isinstance(g, Atom):
             s = [dict(w._raw(k))[g.name] for k in range(n)]
-        elif isinstance(g, NegAtom):
-            s = [NEG[o] for o in seqs[PosAtom(g.name)]]
-        elif isinstance(g, (NAnd, NOr)):
-            conn = "and" if isinstance(g, NAnd) else "or"
+        elif isinstance(g, Not):
+            s = [NEG[o] for o in seqs[g.child]]
+        elif isinstance(g, (And, Or)):
+            conn = "and" if isinstance(g, And) else "or"
             s = []
             for o1, o2 in zip(seqs[g.left], seqs[g.right]):
                 (o,) = consistency(conn, o1, o2)
                 s.append(o)
-        elif isinstance(g, NUntil):
+        elif isinstance(g, Until):
             s = _until_seq(seqs[g.left], seqs[g.right], P, L)
-        elif isinstance(g, NRelease):
+        elif isinstance(g, Release):
             s = [NEG[o] for o in _until_seq(
                 [NEG[o] for o in seqs[g.left]],
                 [NEG[o] for o in seqs[g.right]], P, L)]

@@ -12,20 +12,20 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import apobs
-from apobs.abstraction import (Mode, OutOfDomainError, SINK, SymbolicModel,
-                               SystemSpec, TauValidationError,
-                               build_symbolic_model, gamma, mode_for_cell,
+from apobs.abstraction import (Mode, OutOfDomainError, SINK, SystemSpec,
+                               TauValidationError, build_symbolic_model, gamma, mode_for_cell,
                                region_contains,
                                simulate_trajectory, is_run_of,
                                system_spec_from_json,
                                system_spec_to_json, validate_tau,
                                velocity_extents, _P_E, _P_Z)
-from apobs.game import verify
+from apobs.automata import Automaton
+from apobs.game import build_game, verify
 from apobs.observations import ChoppingError, UndefinedSlice, letter_code
 from apobs.scenarios import drone_spec
-from conftest import (cell_box, drone_model, edge_spec, field_mode,
-                      random_spec, reach_box, reference_transitions, rho,
-                      sampled_trajectory)
+from conftest import (_model_edges, cell_box, drone_model, edge_spec,
+                      field_mode, hand_model, random_spec, reach_box,
+                      reference_transitions, rho, sampled_trajectory)
 
 
 def _exact_refines_sampler(spec, horizon, seed, tracked_aps=None):
@@ -200,14 +200,14 @@ class TestSymbolicModel:
         # every transition label must respect the start/end cell
         # classifications of its endpoints
         model = drone_model(("r",))
-        for q, o, q2 in model.edges():
+        for q, o, q2 in _model_edges(model):
             for p, obs in o:
                 start, end = rho(drone, q, p), rho(drone, q2, p)
                 assert obs in (_P_Z[start] & _P_E[end]), (q, o, q2)
 
     def test_single_change_labels(self):
         model = drone_model(("r",))
-        for _, o, _ in model.edges():
+        for _, o, _ in _model_edges(model):
             assert sum(1 for _, v in o if v in ("Z", "E")) <= 1
 
     def test_simulate_horizon_zero(self, drone):
@@ -273,8 +273,8 @@ class TestSerialization:
         # a model's transitions as a dict go back through the encoder
         # into an equal model, with the same transitions in the same order
         model = drone_model(("g", "p", "r"))
-        back = SymbolicModel(model.aps, model.states, model.q_in,
-                             dict(model.transitions), model.has_sink)
+        back = hand_model(model.aps, model.states, model.q_in,
+                          dict(model.transitions), model.has_sink)
         assert list(back.transitions.items()) == \
             list(model.transitions.items())
         assert back == model
@@ -310,7 +310,7 @@ class TestLazyModel:
             assert list(model.transitions) == list(ref)
             assert model.transitions == ref
             fresh = build_symbolic_model(spec, drop_multi_change=drop)
-            assert list(model.edges()) == list(fresh.edges())
+            assert list(_model_edges(model)) == list(_model_edges(fresh))
 
     def test_rows_are_pair_ints(self):
         # state id = position in states (row-major), the sink next; a
@@ -342,11 +342,17 @@ class TestLazyModel:
         # a code ignores AP names, so a label must list the APs in order
         q = (0,)
         good = (("p", "A"), ("q", "N"))
-        SymbolicModel(("p", "q"), (q,), q, {q: ((good, q),)}, False)
+        model = hand_model(("p", "q"), (q,), q, {q: ((good, q),)})
         for bad in ((("q", "N"), ("p", "A")), (("p", "A"),),
                     (("p", "A"), ("r", "N"))):
             with pytest.raises(ValueError, match="in order") as e:
-                SymbolicModel(("p", "q"), (q,), q, {q: ((bad, q),)}, False)
+                hand_model(("p", "q"), (q,), q, {q: ((bad, q),)})
+            assert "\n" not in str(e.value)
+            nba = Automaton(("p", "q"), frozenset({"b0"}),
+                            frozenset({("b0", bad, "b0")}), "b0",
+                            (frozenset({"b0"}),))
+            with pytest.raises(ValueError, match="in order") as e:
+                build_game(model, nba)
             assert "\n" not in str(e.value)
 
     def test_missing_state(self):

@@ -67,7 +67,7 @@ _SIZE_COMPARABLE = ("G r", "F p", "c U b", "b R c", "F G r")
 def test_criterion_01_observation_tables():
     with _criterion(1, "observation table fidelity, 32 cells"):
         for (o1, o2), (a, o, u, r) in _TABLE.items():
-            for conn, cell in zip("&|UR", (a, o, u, r)):
+            for conn, cell in zip(("and", "or", "U", "R"), (a, o, u, r)):
                 assert consistency(conn, o1, o2) == frozenset(cell), \
                     (conn, o1, o2)
         assert len(_TABLE) == 16

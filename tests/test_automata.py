@@ -9,8 +9,8 @@ from apobs.automata import (Automaton, Q0, _consistent_targets,
                             degeneralize, minimize, restrict_valid_letters,
                             translate, trim)
 from apobs.cli import BENCH_FORMULAS
-from apobs.ltl import (NFalse, NTrue, PosAtom, atoms, formula_str,
-                       parse_ltl, subformulas, to_nnf)
+from apobs.ltl import (Atom, FalseF, TrueF, atoms, formula_str, parse_ltl,
+                       subformulas, to_nnf)
 from conftest import (_consistent_valuations_bottomup,
                       _consistent_valuations_bruteforce, _gfg_reference,
                       full_gba_reference, gba_isomorphic, prune,
@@ -57,7 +57,7 @@ class TestBuildGba:
         for _ in range(40):
             sub = subformulas(rand_nnf(rng, 2, ("p", "q")))
             tables = _position_tables(sub)
-            atom_pos = [k for k, g in enumerate(sub) if isinstance(g, PosAtom)]
+            atom_pos = [k for k, g in enumerate(sub) if isinstance(g, Atom)]
             valuations = [v for v in _consistent_valuations_bruteforce(sub)
                           if sum(v[k] in "ZE" for k in atom_pos) <= 1]
             by_sig = {}
@@ -156,7 +156,7 @@ class TestForwardBuild:
         while len(consts) < 30:
             f = to_nnf(rand_formula(rng, 3, ("p", "q", "r")))
             if len(atoms(f)) >= 2 and any(
-                    isinstance(g, (NTrue, NFalse)) for g in subformulas(f)):
+                    isinstance(g, (TrueF, FalseF)) for g in subformulas(f)):
                 consts.append(f)
         formulas += consts + [to_nnf(parse_ltl(f)) for f in (
             "true U (p & q)", "false R (p | !q)", "(p & true) U (q | false)",

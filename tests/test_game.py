@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import apobs.abstraction as abstraction_module
 import apobs.game as game_module
-from apobs.abstraction import (SymbolicModel, SystemSpec, Mode,
-                               system_spec_to_json)
+from apobs.abstraction import SystemSpec, Mode, system_spec_to_json
 from apobs.automata import Automaton, translate
 from apobs.cli import BENCH_FORMULAS
 from apobs.game import (LOSE, WIN, BuchiGame, PipelineError, Report,
@@ -23,8 +22,9 @@ from apobs.game import (LOSE, WIN, BuchiGame, PipelineError, Report,
 from apobs.ltl import atoms, parse_ltl, to_nnf
 from apobs.scenarios import drone_spec
 from conftest import (brute_force_w0, build_game_reference, check_strategy,
-                      drone_model, rand_buchi_game, rand_model, rand_nba,
-                      rand_nnf, random_spec, winning_region_fixpoint)
+                      drone_model, hand_model, rand_buchi_game, rand_model,
+                      rand_nba, rand_nnf, random_spec,
+                      winning_region_fixpoint)
 
 
 def _letters(*obs):
@@ -33,8 +33,7 @@ def _letters(*obs):
 
 def _one_state_model(letters):
     q = (0,)
-    return SymbolicModel(("p",), (q,), q,
-                         {q: tuple((o, q) for o in letters)}, False)
+    return hand_model(("p",), (q,), q, {q: tuple((o, q) for o in letters)})
 
 
 def _accept_all_nba(letters):
@@ -88,7 +87,7 @@ class TestBuildGame:
         # a model state with no outgoing transitions is an Opponent dead
         # end: redirected to the WIN sink
         q = (0,)
-        model = SymbolicModel(("p",), (q,), q, {q: ()}, False)
+        model = hand_model(("p",), (q,), q, {q: ()})
         game = build_game(model, _accept_all_nba(_letters("A")))
         assert WIN in game.names
         assert [game.names[v] for v in game.redirected_opponent] == \
@@ -109,7 +108,7 @@ class TestBuildGame:
         # that silently matches nothing
         q = (0,)
         a = (("p", "A"), ("q", "A"))
-        model = SymbolicModel(("p", "q"), (q,), q, {q: ((a, q),)}, False)
+        model = hand_model(("p", "q"), (q,), q, {q: ((a, q),)})
         nba = Automaton(("p", "q"), frozenset({"b0"}),
                         frozenset({("b0", a, "b0"),
                                    ("b0", a[::-1], "b0")}),
@@ -177,9 +176,9 @@ class TestBuildGameReference:
         # the automaton reads no Z, so the Player vertex on Z goes to LOSE
         a, z = _letters("A", "Z")
         q0, q1, q2 = (0,), (1,), (2,)
-        model = SymbolicModel(("p",), (q0, q1, q2), q0,
-                              {q0: ((a, q1), (a, q2)), q1: (),
-                               q2: ((z, q2), (a, q0))}, False)
+        model = hand_model(("p",), (q0, q1, q2), q0,
+                           {q0: ((a, q1), (a, q2)), q1: (),
+                            q2: ((z, q2), (a, q0))})
         nba = Automaton(("p",), frozenset({"b0", "b1"}),
                         frozenset({("b0", a, "b1"), ("b1", a, "b0"),
                                    ("b1", a, "b1")}),
@@ -196,9 +195,9 @@ class TestBuildGameReference:
         # state
         a, z = _letters("A", "Z")
         q0, q1 = (0,), (1,)
-        model = SymbolicModel(("p",), (q0, q1), q0,
-                              {q0: ((a, q1), (z, q0), (a, q1)),
-                               q1: ((a, q1), (z, q0))}, False)
+        model = hand_model(("p",), (q0, q1), q0,
+                           {q0: ((a, q1), (z, q0), (a, q1)),
+                            q1: ((a, q1), (z, q0))})
         assert len(model.transitions.row(0)) == 2
         assert model.transitions[q0] == ((a, q1), (z, q0))
         nba = Automaton(("p",), frozenset({"b0", "b1"}),
@@ -216,8 +215,7 @@ class TestBuildGameReference:
         # vertices go to WIN
         a, z = _letters("A", "Z")
         q0, q1 = (0,), (1,)
-        model = SymbolicModel(("p",), (q0,), q0,
-                              {q0: ((a, q1), (z, q0))}, False)
+        model = hand_model(("p",), (q0,), q0, {q0: ((a, q1), (z, q0))})
         assert model.transitions.state_id(q1) == 1
         assert q1 not in model.transitions and list(model.transitions) == [q0]
         nba = _accept_all_nba([a, z])
@@ -233,8 +231,8 @@ class TestBuildGameReference:
         # integer rows as the model it was read from
         nnf = to_nnf(parse_ltl(formula))
         model, nba = drone_model(atoms(nnf)), translate(nnf)["nba"]
-        back = SymbolicModel(model.aps, model.states, model.q_in,
-                             dict(model.transitions), model.has_sink)
+        back = hand_model(model.aps, model.states, model.q_in,
+                          dict(model.transitions), model.has_sink)
         game, again = build_game(model, nba), build_game(back, nba)
         assert list(again.edges.items()) == list(game.edges.items())
         assert again.owner == game.owner

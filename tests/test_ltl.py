@@ -3,11 +3,9 @@ import random
 
 import pytest
 
-from apobs.ltl import (And, Atom, FalseF, LtlSyntaxError, NAnd, NFalse, NOr,
-                       NRelease, NTrue, NUntil, NegAtom, Next, Not, Or,
-                       PosAtom, Release, TrueF, UnsupportedOperatorError,
-                       Until, atoms, formula_str, parse_ltl, subformulas,
-                       to_nnf)
+from apobs.ltl import (And, Atom, FalseF, LtlSyntaxError, Next, Not, Or,
+                       Release, TrueF, UnsupportedOperatorError, Until, atoms,
+                       formula_str, parse_ltl, subformulas, to_nnf)
 from conftest import eval_discrete, rand_formula
 
 
@@ -75,13 +73,13 @@ class TestParse:
 class TestNnf:
     def test_until_release_duality(self):
         f = to_nnf(parse_ltl("!(p U q)"))
-        assert f == NRelease(NegAtom("p"), NegAtom("q"))
+        assert f == Release(Not(Atom("p")), Not(Atom("q")))
 
     def test_double_negation(self):
-        assert to_nnf(parse_ltl("!!p")) == PosAtom("p")
+        assert to_nnf(parse_ltl("!!p")) == Atom("p")
 
     def test_negated_globally(self):
-        assert to_nnf(parse_ltl("!(G r)")) == NUntil(NTrue(), NegAtom("r"))
+        assert to_nnf(parse_ltl("!(G r)")) == Until(TrueF(), Not(Atom("r")))
 
     def test_rejects_next(self):
         with pytest.raises(UnsupportedOperatorError,
@@ -91,11 +89,17 @@ class TestNnf:
             to_nnf(parse_ltl("!(X p) U q"))
 
     def test_idempotent(self):
+        # and the result has the NNF shape: every Not wraps an Atom, and no
+        # Next remains
         rng = random.Random(11)
         for _ in range(300):
             f = rand_formula(rng, 5, ["a", "b", "c"])
             n = to_nnf(f)
             assert to_nnf(n) == n
+            for g in subformulas(n):
+                assert not isinstance(g, Next), formula_str(f)
+                if isinstance(g, Not):
+                    assert isinstance(g.child, Atom), formula_str(f)
 
     def test_preserves_discrete_semantics(self):
         rng = random.Random(13)
@@ -118,22 +122,22 @@ class TestSubformulas:
         f = to_nnf(parse_ltl("G F g"))
         sub = subformulas(f)
         assert set(sub) == {
-            PosAtom("g"), NTrue(), NUntil(NTrue(), PosAtom("g")),
-            NFalse(), f}
+            Atom("g"), TrueF(), Until(TrueF(), Atom("g")),
+            FalseF(), f}
         assert len(sub) == 5
-        assert len(set(sub) - {NTrue(), NFalse()}) == 3
+        assert len(set(sub) - {TrueF(), FalseF()}) == 3
 
     def test_atom_closure(self):
-        assert subformulas(PosAtom("p")) == (PosAtom("p"),)
+        assert subformulas(Atom("p")) == (Atom("p"),)
 
     def test_benchmark_closure_size(self):
         sub = subformulas(to_nnf(parse_ltl("G r & F (g & F p)")))
         assert len(sub) == 10
-        assert len(set(sub) - {NTrue(), NFalse()}) == 8
+        assert len(set(sub) - {TrueF(), FalseF()}) == 8
 
     def test_negated_atom_includes_positive(self):
-        sub = subformulas(NegAtom("p"))
-        assert sub == (PosAtom("p"), NegAtom("p"))
+        sub = subformulas(Not(Atom("p")))
+        assert sub == (Atom("p"), Not(Atom("p")))
 
     def test_topological_order_and_uniqueness(self):
         rng = random.Random(17)
@@ -144,11 +148,11 @@ class TestSubformulas:
             assert sub[-1] == f
             pos = {g: i for i, g in enumerate(sub)}
             for g in sub:
-                if isinstance(g, (NAnd, NOr, NUntil, NRelease)):
+                if isinstance(g, (And, Or, Until, Release)):
                     assert pos[g.left] < pos[g]
                     assert pos[g.right] < pos[g]
-                if isinstance(g, NegAtom):
-                    assert pos[PosAtom(g.name)] < pos[g]
+                if isinstance(g, Not):
+                    assert pos[g.child] < pos[g]
 
     def test_atoms(self):
         assert atoms(to_nnf(parse_ltl("G r & F (g & F p)"))) == \

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from apobs.ltl import NUntil, PosAtom, parse_ltl, subformulas, to_nnf
+from apobs.ltl import Atom, Until, parse_ltl, subformulas, to_nnf
 from apobs.observations import (NEG, OBS, ChoppingError, MultiChange,
                                 UndefinedSlice, consistency, letter_code,
                                 letter_of)
@@ -14,32 +14,32 @@ from conftest import (_OR_REF, _RELEASE_REF, _formula_observations,
 from semantics import (IncommensurableError, PiecewiseSignal, SignalWord,
                        chop, eval_signal, is_signal_word, unique_run_oracle)
 
-P, Q = PosAtom("p"), PosAtom("q")
+P, Q = Atom("p"), Atom("q")
 
 
 class TestConsistency:
     def test_examples(self):
         assert consistency("U", "A", "N") == frozenset({"A", "N"})
-        assert consistency("&", "A", "Z") == frozenset({"Z"})
+        assert consistency("and", "A", "Z") == frozenset({"Z"})
         assert consistency("R", "N", "A") == frozenset({"A", "N"})
-        assert consistency("|", "N", "N") == frozenset({"N"})
+        assert consistency("or", "N", "N") == frozenset({"N"})
 
     def test_total_and_nonempty(self):
-        for conn in ("&", "|", "U", "R"):
+        for conn in ("and", "or", "U", "R"):
             for o1 in OBS:
                 for o2 in OBS:
                     s = consistency(conn, o1, o2)
                     assert s and s <= set(OBS)
 
     def test_boolean_cells_are_singletons(self):
-        for conn in ("&", "|"):
+        for conn in ("and", "or"):
             for o1 in OBS:
                 for o2 in OBS:
                     assert len(consistency(conn, o1, o2)) == 1
 
     def test_duality(self):
         # o1 # o2 dualizes to !o1 dual(#) !o2 cellwise.
-        for c, d in (("&", "|"), ("U", "R")):
+        for c, d in (("and", "or"), ("U", "R")):
             for o1 in OBS:
                 for o2 in OBS:
                     assert consistency(d, o1, o2) == frozenset(
@@ -48,7 +48,7 @@ class TestConsistency:
     def test_published_or_release_columns(self):
         # OR and RELEASE are derived by duality from AND and UNTIL; the
         # derived tables must equal the published columns
-        for conn, ref in (("|", _OR_REF), ("R", _RELEASE_REF)):
+        for conn, ref in (("or", _OR_REF), ("R", _RELEASE_REF)):
             for (o1, o2), cell in ref.items():
                 assert consistency(conn, o1, o2) == frozenset(cell), \
                     (conn, o1, o2)
@@ -75,10 +75,11 @@ class TestConsistency:
             assert c_end(NEG[o]) == NEG[c_end(o)]
 
     def test_errors(self):
+        for conn in ("xor", "&", "until"):
+            with pytest.raises(ValueError, match="unknown connective"):
+                consistency(conn, "A", "A")
         with pytest.raises(ValueError):
-            consistency("xor", "A", "A")
-        with pytest.raises(ValueError):
-            consistency("&", "A", "B")
+            consistency("and", "A", "B")
 
 
 class TestLetterCode:
@@ -261,7 +262,7 @@ class TestObservationSoundness:
     def test_soundness_random_signals(self):
         rng = random.Random(21)
         aps = ("p", "q")
-        conn_of = {"NAnd": "&", "NOr": "|", "NUntil": "U", "NRelease": "R"}
+        conn_of = {"And": "and", "Or": "or", "Until": "U", "Release": "R"}
         checked = 0
         for _ in range(10000):
             f = rand_nnf(rng, 2, aps)
@@ -283,7 +284,7 @@ class TestObservationSoundness:
         specs = [(b, fut) for b in ("A", "N", "Z", "E")
                  for fut in (True, False)]
         seen = set()
-        f = NUntil(P, Q)
+        f = Until(P, Q)
         for x in xs:
             for sp in specs:
                 for sq in specs:
