@@ -1,52 +1,75 @@
 """AP-observation automata: construction from LTL formulas, trimming,
 minimization, degeneralization and DOT export.
 
-One type, ``Automaton``, serves every stage: it carries one accepting set
-per U/R subformula before ``degeneralize`` and exactly one after it, and
-its initial state is one of its states.  The states of the automaton
-``build_gba`` makes are a distinguished initial state Q0 and the
-consistent subformula valuations (tuples of observations aligned with the
-subformula closure) reachable from it over valid letters, those in which
-at most one AP changes.  Transition labels are observation maps over the
-formula's atoms; each edge's label is its target restricted to atoms.
+One type, ``Automaton``, serves every stage, on integer states and
+letter codes (``observations.letter_code``).  State names are made only
+when read; on the pipeline's automata every stage numbers its states in
+the ``repr`` order of their names, so no id depends on the hash seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import itertools
+from collections.abc import Set
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .ltl import (And, Atom, FalseF, Not, Or, Release, TrueF, Until,
                   subformulas, to_nnf)
-from .observations import NEG, OBS, consistency
+from .observations import NEG, OBS, consistency, letter_of
 
-__all__ = [
-    "Q0", "Automaton", "build_gba", "trim",
-    "restrict_valid_letters", "minimize", "degeneralize",
-    "translate", "automaton_to_dot",
-]
+__all__ = ["Q0", "Automaton", "build_gba", "trim", "restrict_valid_letters",
+           "minimize", "degeneralize", "translate", "automaton_to_dot"]
 
 Q0 = "q0"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Automaton:
-    """AP-observation (Büchi) automaton; a run is accepting when it visits
-    every accepting set infinitely often."""
+    """AP-observation (Büchi) automaton on the states 0..n-1; a run is
+    accepting when it visits every accepting set infinitely often: one
+    per U/R subformula before ``degeneralize``, exactly one after it.
+    ``succ[s]`` lists s's (letter code, target) edges, and states may
+    share one tuple.  The views ``initial``, ``states``, ``edges`` and
+    ``accepting`` hold the names ``namer()`` gives, made when first read;
+    two automata are equal when their views are."""
     aps: tuple
-    states: frozenset        # includes the initial state
-    edges: frozenset         # (src, label, dst)
-    initial: object
-    accepting: tuple         # tuple of frozensets of states
+    succ: tuple              # state -> tuple of (letter code, target)
+    start: int               # the initial state
+    acc: tuple               # one frozenset of states per accepting set
+    namer: object = field(repr=False)
 
-    @property
-    def n_states(self):
-        return len(self.states)
+    n_states = property(lambda self: len(self.succ))
+    names = cached_property(lambda self: tuple(self.namer()))
+    initial = property(lambda self: self.names[self.start])
+    states = cached_property(lambda self: frozenset(self.names))
+    edges = property(lambda self: _Edges(self))  # uncached: no ref cycle
+    accepting = cached_property(lambda self: tuple(
+        frozenset(map(self.names.__getitem__, fs)) for fs in self.acc))
+    _edge_set = cached_property(lambda self: frozenset(
+        (self.names[s], letter_of(c, self.aps), self.names[t])
+        for s, outs in enumerate(self.succ) for c, t in outs))
 
-    def successors(self):
-        """Map each source state to its list of (label, target) pairs."""
-        adj = {}
-        for s, o, d in self.edges:
-            adj.setdefault(s, []).append((o, d))
-        return adj
+    def __eq__(self, other):
+        return isinstance(other, Automaton) and all(
+            getattr(self, k) == getattr(other, k)
+            for k in ("aps", "initial", "states", "accepting", "edges"))
+
+
+class _Edges(Set):
+    """An automaton's (source, label, target) name triples; the length is
+    counted on its successor tuples, with no name made."""
+
+    def __init__(self, a):
+        self._a = a
+
+    def __len__(self):
+        return sum(map(len, self._a.succ))
+
+    def __iter__(self):
+        return iter(self._a._edge_set)
+
+    def __contains__(self, e):
+        return e in self._a._edge_set
 
 
 # ---------------------------------------------------------------------------
@@ -110,186 +133,180 @@ def build_gba(f):
     the subformula closure of its negation normal form (``to_nnf``, which
     leaves a formula already in that form unchanged).
 
-    Its states are the initial state Q0 and the consistent valuations
-    reachable from it over valid letters; the accepting sets hold
-    valuations only.  An edge v -> v2 exists when v2's letter is valid and
-    v's source signature (per subformula: true at the slice's end, in
-    {A,E}?) equals v2's target signature (true at the start, in {A,Z}?).
-    A signature's targets are generated when a reached valuation first
-    has it, so no unreached valuation or invalid edge is ever made.
-    """
+    Its states are Q0 and the consistent valuations (observations aligned
+    with the closure) reachable from it over valid letters, in which at
+    most one AP changes; the accepting sets hold valuations only.  An edge
+    v -> v2, labelled v2 restricted to atoms, exists when v2's letter is
+    valid and v's source signature (per subformula: true at the slice's
+    end, in {A,E}?) is v2's target signature (true at the start, in
+    {A,Z}?), whose targets are made once, when first reached."""
     sub = subformulas(to_nnf(f))
     idx = {g: i for i, g in enumerate(sub)}
     aps = tuple(sorted(g.name for g in sub if isinstance(g, Atom)))
-    # one (ap, observation) pair object per build, shared by every label
-    ap_pairs = [(idx[Atom(p)], {o: (p, o) for o in OBS}) for p in aps]
+    # the k-th AP's observation o adds OBS.index(o) * 4**k to the code
+    digits = [(idx[Atom(p)], {o: OBS.index(o) * len(OBS) ** k for o in OBS})
+              for k, p in enumerate(aps)]
     tables = _position_tables(sub)
 
     def targets(mask):
-        return [(tuple(pairs[v[i]] for i, pairs in ap_pairs), v)
+        return [(sum(d[v[i]] for i, d in digits), v)
                 for v in _consistent_targets(tables, mask)]
 
     # Q0 reads every valuation whose root starts true (A or Z); any other
     # valuation is new only when its target signature is first generated
     q0_targets = targets((2,) * (len(sub) - 1) + (1,))
-    edges = [(Q0, lbl, v) for lbl, v in q0_targets]
     stack = [v for _, v in q0_targets]
-    states = set(stack)
+    sig_of = dict.fromkeys(stack)        # reached valuation -> signature
     by_sig = {}
     while stack:
         v = stack.pop()
-        sig = tuple(map("AE".__contains__, v))
-        ts = by_sig.get(sig)
-        if ts is None:
+        sig = sig_of[v] = tuple(map("AE".__contains__, v))
+        if sig not in by_sig:
             ts = by_sig[sig] = targets(sig)
-            new = [v2 for _, v2 in ts if v2 not in states]
-            states.update(new)
+            new = [v2 for _, v2 in ts if v2 not in sig_of]
+            sig_of.update(dict.fromkeys(new))
             stack += new
-        edges += [(v, lbl, v2) for lbl, v2 in ts]
+
+    # Q0's repr sorts first, and for same-length tuples of one-letter
+    # strings the repr order is the tuples' order
+    names = [Q0, *sorted(sig_of)]
+    rank = {v: s for s, v in enumerate(names)}
+    out = {sig: tuple([(c, rank[v]) for c, v in ts])
+           for sig, ts in by_sig.items()}
+    succ = (tuple([(c, rank[v]) for c, v in q0_targets]),
+            *[out[sig_of[v]] for v in names[1:]])
 
     accepting = []
     for g in sub:
         if isinstance(g, (Until, Release)):
             i, r = idx[g], idx[g.right]
-            x, y = ("N", "A") if isinstance(g, Until) else ("A", "N")
-            accepting.append(frozenset(
-                v for v in states if v[r] != x or v[i] != y))
-
-    return Automaton(aps, frozenset(states | {Q0}), frozenset(edges), Q0,
-                     tuple(accepting))
+            bad = ("N", "A") if isinstance(g, Until) else ("A", "N")
+            accepting.append(frozenset(s for s, v in enumerate(names)
+                                       if s and (v[r], v[i]) != bad))
+    return Automaton(aps, succ, 0, tuple(accepting), lambda: names)
 
 
 # ---------------------------------------------------------------------------
 # Letter restriction and trimming
 
-def _reachable(adj, start):
-    seen = {start}
-    stack = [start]
-    while stack:
-        s = stack.pop()
-        for _, d in adj.get(s, ()):
-            if d not in seen:
-                seen.add(d)
-                stack.append(d)
-    return seen
-
-
 def restrict_valid_letters(a):
     """Drop edges whose label has two or more APs with observation in
     {Z,E}.  Valid signal words never contain such letters (at most one AP
     changes per slice), so the recognized language over signal words is
-    unchanged."""
-    labels = {o for _, o, _ in a.edges}
-    valid = {o for o in labels if sum(v in ("Z", "E") for _, v in o) <= 1}
-    return replace(a, edges=frozenset(e for e in a.edges if e[1] in valid))
+    unchanged.  Returns ``a`` itself when no edge is dropped."""
+    valid = {c: sum(o in "ZE" for _, o in letter_of(c, a.aps)) <= 1
+             for c in {c for outs in a.succ for c, _ in outs}}
+    if all(valid.values()):
+        return a
+    succ = tuple(tuple(e for e in outs if valid[e[0]]) for outs in a.succ)
+    return Automaton(a.aps, succ, a.start, a.acc, lambda: a.names)
 
 
 def trim(a):
-    """Restrict to the part reachable from the initial state.
-
-    On the pipeline's automata no kept state is dead: every consistent
-    valuation v has the consistent successor that observes each
-    subformula as A or N by its truth at v's end, c(end(v)), where
-    c(true) = A and c(false) = N.  For every connective and consistent
-    (o1, o2, o), c(end(o)) is allowed for (c(end(o1)), c(end(o2))), and
-    end(NEG[o]) = not end(o).  c(end(v))'s target signature is v's source
-    signature and its letter changes no AP, so it is a valid letter and
+    """Restrict to the part reachable from the initial state, in state
+    order; returns ``a`` itself when all of it is.  On the pipeline's
+    automata no state is dead: a consistent valuation v has the successor
+    c(end(v)) that observes each subformula as A or N by its truth at v's
+    end.  It is consistent (every connective allows c(end(o)) for
+    (c(end(o1)), c(end(o2))), and end(NEG[o]) = not end(o)), its target
+    signature is v's source signature and its letter changes no AP, so
     ``build_gba`` makes the edge."""
-    live = _reachable(a.successors(), a.initial)
-    return replace(
-        a, states=frozenset(live),
-        edges=frozenset((s, o, d) for s, o, d in a.edges if s in live),
-        accepting=tuple(fs & live for fs in a.accepting))
+    seen = bytearray(a.n_states)
+    seen[a.start] = 1
+    stack = [a.start]
+    while stack:
+        for _, t in a.succ[stack.pop()]:
+            if not seen[t]:
+                seen[t] = 1
+                stack.append(t)
+    if all(seen):
+        return a
+    new = {s: i for i, s in
+           enumerate(itertools.compress(range(a.n_states), seen))}
+    return Automaton(
+        a.aps, tuple(tuple((c, new[t]) for c, t in a.succ[s]) for s in new),
+        new[a.start], tuple(frozenset(map(new.get, fs)) - {None}
+                            for fs in a.acc),
+        lambda: [a.names[s] for s in new])
 
 
 # ---------------------------------------------------------------------------
-# Minimization (acceptance-respecting partition refinement)
+# Minimization (acceptance-respecting partition refinement), degeneralization
 
 def minimize(a):
     """Quotient by the coarsest partition in which states of a block belong
-    to the same accepting sets and have identical (label, target-block)
-    edge sets.  The initial state stays its own block and keeps its name;
-    every other block is named by the tuple of its states."""
-    adj = a.successors()
-    states = sorted(a.states, key=repr)
+    to the same accepting sets and have identical (letter, target-block)
+    edge sets, refined on int signatures.  The initial state stays its own
+    block and keeps its name; any other block is the tuple of its states'
+    names.  Blocks are numbered by their least state."""
+    succ, n = a.succ, a.n_states
+    first = {}
+    new = [first.setdefault(s == a.start or tuple(s in fs for fs in a.acc),
+                            len(first)) for s in range(n)]
+    block = None
+    while new != block:              # blocks numbered in order of first use
+        block, edge_sig, sigs = new, {}, {}
+        new = []
+        for b, outs in zip(block, succ):
+            e = edge_sig.get(id(outs))  # once per shared successor tuple
+            if e is None:
+                e = edge_sig[id(outs)] = frozenset(
+                    [c * n + block[t] for c, t in outs])
+            new.append(sigs.setdefault((b, e), len(sigs)))
 
-    def acc_sig(s):
-        return (s == a.initial,) + tuple(s in fs for fs in a.accepting)
+    members = [[] for _ in sigs]     # first use in state order: least state
+    for s, b in enumerate(block):
+        members[b].append(s)
+    # the partition is stable, so a block's edges are any member's
+    out = tuple(tuple(dict.fromkeys([(c, block[t]) for c, t in succ[ss[0]]]))
+                for ss in members)
+    return Automaton(
+        a.aps, out, block[a.start],
+        tuple(frozenset(block[s] for s in fs) for fs in a.acc),
+        lambda: [a.names[ss[0]] if ss[0] == a.start
+                 else tuple(map(a.names.__getitem__, ss)) for ss in members])
 
-    block_of = {}
-    sig_to_block = {}
-    for s in states:
-        sig = acc_sig(s)
-        block_of[s] = sig_to_block.setdefault(sig, len(sig_to_block))
-
-    while True:
-        sigs = {}
-        for s in states:
-            sig = (block_of[s], frozenset(
-                (o, block_of[d]) for o, d in adj.get(s, ())))
-            sigs[s] = sig
-        remap = {}
-        new_block = {}
-        for s in states:
-            new_block[s] = remap.setdefault(sigs[s], len(remap))
-        if len(remap) == len(set(block_of.values())):
-            break
-        block_of = new_block
-
-    blocks = {}
-    for s in states:
-        blocks.setdefault(block_of[s], []).append(s)
-    # a block is the tuple of its states in sorted order, so its repr, and
-    # every order taken from it downstream, does not depend on the hash seed
-    block_state = {i: tuple(ss) for i, ss in blocks.items()}
-    block_state[block_of[a.initial]] = a.initial
-
-    edges = {(block_state[block_of[s]], o, block_state[block_of[d]])
-             for s, o, d in a.edges}
-    accepting = tuple(
-        frozenset(block_state[i] for i, ss in blocks.items()
-                  if ss[0] in fs)
-        for fs in a.accepting)
-    return replace(a, states=frozenset(block_state.values()),
-                   edges=frozenset(edges), accepting=accepting)
-
-
-# ---------------------------------------------------------------------------
-# Degeneralization
 
 def degeneralize(a):
     """Counter construction from a generalized automaton to a single
-    accepting set.
-
-    States are (s, i), i in 1..m; the counter advances from i to
-    (i mod m)+1 when the source s belongs to F_i, and the accepting set is
-    {(s, 1) | s in F_1}.  The counter runs over the accepting sets in
-    reverse subformula order (outermost connective first); this is the
-    fixed convention.  With no accepting set, F_1 is every state but the
-    initial one.  Only the part of ``a`` reachable from its initial state
-    is explored; the result has a dead state only where ``a`` has one
-    reachable, which the pipeline's automata never have (see ``trim``).
-    """
-    accepting = tuple(reversed(a.accepting)) or (a.states - {a.initial},)
+    accepting set: states are (s, i), i in 1..m; the counter advances from
+    i to (i mod m)+1 when the source s belongs to F_i, and the accepting
+    set is {(s, 1) | s in F_1}.  The counter runs over the accepting sets
+    in reverse subformula order (outermost connective first).  With no
+    accepting set, F_1 is every state but the initial one.  Only the
+    reachable part is made, numbered by s, then by i as a string: the
+    names' repr order when a's states are numbered in that of theirs."""
+    accepting = tuple(reversed(a.acc)) or (
+        frozenset(range(a.n_states)) - {a.start},)
     m = len(accepting)
-    adj = a.successors()
+    counters = sorted(range(1, m + 1), key=str)   # key s * m + rank of i
+    step = [counters.index(i % m + 1) for i in counters]
 
-    edges = set()
-    init = (a.initial, 1)
-    seen = {init}
+    def after(s, k):                 # the counter's rank on leaving (s, k)
+        return step[k] if s in accepting[counters[k] - 1] else k
+
+    init = a.start * m + counters.index(1)
+    seen = bytearray(a.n_states * m)
+    seen[init] = 1
     stack = [init]
     while stack:
-        s, i = stack.pop()
-        i2 = (i % m) + 1 if s in accepting[i - 1] else i
-        for o, d in adj.get(s, ()):
-            nxt = (d, i2)
-            edges.add(((s, i), o, nxt))
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-
-    acc = frozenset((s, 1) for s in accepting[0] if (s, 1) in seen)
-    return Automaton(a.aps, frozenset(seen), frozenset(edges), init, (acc,))
+        s, k = divmod(stack.pop(), m)
+        k = after(s, k)
+        for _, t in a.succ[s]:
+            if not seen[t * m + k]:
+                seen[t * m + k] = 1
+                stack.append(t * m + k)
+    keys = list(itertools.compress(range(len(seen)), seen))
+    rank = dict(zip(keys, itertools.count()))
+    out = []
+    for s, k in (divmod(key, m) for key in keys):
+        k = after(s, k)
+        out.append(tuple([(c, rank[t * m + k]) for c, t in a.succ[s]]))
+    acc = (rank[key] for key in (s * m + init % m for s in accepting[0])
+           if seen[key])
+    return Automaton(
+        a.aps, tuple(out), rank[init], (frozenset(acc),),
+        lambda: [(a.names[key // m], counters[key % m]) for key in keys])
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +316,9 @@ def translate(f):
     """Full formula-side pipeline: build over valid letters, restrict to
     valid letters, trim, minimize, degeneralize.  Returns a dict with all
     intermediate automata under "gba", "trimmed", "minimized" and "nba".
-
-    ``build_gba`` makes only valid edges and reachable states, so the
-    restriction and the trim return it unchanged; they stay as the stages
-    the per-layer trace times.  No state is dead at any stage (the lemma in
-    ``trim``'s docstring).  States without accepting continuations are
-    kept; they are harmless for language and membership checks.  This
-    stage combination reproduces the published per-formula automaton sizes.
-    """
+    The restriction and the trim return ``build_gba``'s automaton itself;
+    they stay as the stages the per-layer trace times.  No state is dead
+    (see ``trim``); states without accepting continuations are kept."""
     raw = build_gba(f)
     trimmed = trim(restrict_valid_letters(raw))
     merged = minimize(trimmed)
@@ -314,35 +326,27 @@ def translate(f):
     return {"gba": raw, "trimmed": trimmed, "minimized": merged, "nba": nba}
 
 
-def _state_names(a):
-    names = {a.initial: "q0"}
-    for i, s in enumerate(sorted(a.states - {a.initial}, key=repr), start=1):
-        names[s] = f"q{i}"
-    return names
-
-
 def automaton_to_dot(a, title=""):
-    """DOT text; a state in an accepting set is a double circle, labelled
-    with the indices of its sets when there is more than one set."""
-    names = _state_names(a)
-    lines = ["digraph automaton {", "  rankdir=LR;"]
-    if title:
-        lines.append(f'  label="{title}";')
-    for s, n in sorted(names.items(), key=lambda kv: int(kv[1][1:])):
-        ms = [i + 1 for i, fs in enumerate(a.accepting) if s in fs]
+    """DOT text: the initial state is q0, the others q1, q2, ... in state
+    order; a state in an accepting set is a double circle, labelled with
+    the indices of its sets when there is more than one set."""
+    order = [a.start, *(s for s in range(a.n_states) if s != a.start)]
+    q = {s: f"q{i}" for i, s in enumerate(order)}
+    lines = ["digraph automaton {", "  rankdir=LR;",
+             *([f'  label="{title}";'] if title else [])]
+    for s in order:
+        ms = [i + 1 for i, fs in enumerate(a.acc) if s in fs]
         attrs = f'shape={"doublecircle" if ms else "circle"}'
-        if len(a.accepting) > 1:
+        if len(a.acc) > 1:
             extra = f'\\nF{",".join(map(str, ms))}' if ms else ""
-            attrs += f', label="{n}{extra}"'
-        lines.append(f"  {n} [{attrs}];")
-    lines.append('  init [shape=point];')
-    lines.append('  init -> q0;')
+            attrs += f', label="{q[s]}{extra}"'
+        lines.append(f"  {q[s]} [{attrs}];")
+    lines += ["  init [shape=point];", "  init -> q0;"]
     grouped = {}
-    for s, o, d in a.edges:
-        key = (names[s], names[d])
-        lbl = ",".join(f"{p}:{v}" for p, v in o)
-        grouped.setdefault(key, []).append(lbl)
+    for s, outs in enumerate(a.succ):
+        for c, t in outs:
+            grouped.setdefault((q[s], q[t]), []).append(
+                ",".join(f"{p}:{v}" for p, v in letter_of(c, a.aps)))
     for (s, d), lbls in sorted(grouped.items()):
         lines.append(f'  {s} -> {d} [label="{"; ".join(sorted(lbls))}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + ["}"]) + "\n"

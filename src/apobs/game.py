@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 from . import abstraction as _abs
 from . import automata as _aut
 from . import ltl as _ltl
-from .observations import letter_code
 
 __all__ = [
     "BuchiGame", "SolveResult", "Report", "PipelineError",
@@ -51,16 +50,16 @@ class _Names(Sequence):
     """Read-only vertex names of a game from ``build_game``: vertex i's
     tuple is made from its int key ``keys[i]`` when it is read.
 
-    With nb automaton states, ranked by ``repr`` into ``states``, an
-    Opponent vertex on model state id s has key 2 * (s * nb + b) and a
-    Player vertex on model pair int p has key 2 * (p * nb + b) + 1; the
-    sinks WIN and LOSE have keys -1 and -2.  States and pairs are
-    decoded through the model's ``transitions``."""
+    With nb automaton states and n model ids, an Opponent vertex on model
+    state id s and automaton state b has key s * nb + b, a Player vertex
+    on model pair int p has key (n + p) * nb + b, and the sinks WIN and
+    LOSE have keys -1 and -2, decoded through the model's ``transitions``
+    and the automaton's ``names``."""
 
-    def __init__(self, keys, transitions, states):
+    def __init__(self, keys, transitions, nba):
         self._keys = keys
         self._transitions = transitions
-        self._states = states
+        self._nba = nba
 
     def __len__(self):
         return len(self._keys)
@@ -69,11 +68,12 @@ class _Names(Sequence):
         k = self._keys[i]
         if k < 0:
             return WIN if k == -1 else LOSE
-        x, b = divmod(k >> 1, len(self._states))
-        if k & 1:
-            o, q = self._transitions.pair(x)
-            return ("P", q, o, self._states[b])
-        return ("O", self._transitions.state(x), self._states[b])
+        x, b = divmod(k, self._nba.n_states)
+        b = self._nba.names[b]
+        if x >= self._transitions.n_ids:
+            o, q = self._transitions.pair(x - self._transitions.n_ids)
+            return ("P", q, o, b)
+        return ("O", self._transitions.state(x), b)
 
 
 @dataclass(frozen=True)
@@ -110,37 +110,32 @@ def build_game(model, nba):
     breadth-first from (q_in, b_in) and totalized with sinks.
 
     Opponent successors follow the model's transition order, Player
-    successors the automaton states ranked once by ``repr``.  The
-    automaton must have exactly one accepting set, and its edge labels
-    must list the model's APs in order.
+    successors the automaton's state order.  The automaton must have
+    exactly one accepting set and the model's APs, in order.
 
     The product is explored on ints (see ``_Names`` for the vertex
     keys): an Opponent vertex is keyed by the model's state id, a Player
     vertex by the model's pair int (letter code and successor id), and
-    the automaton's successors by letter code and state rank.  No vertex
+    the automaton's successors by letter code and state.  No vertex
     tuple is made while exploring."""
-    if tuple(sorted(model.aps)) != tuple(sorted(nba.aps)):
+    if tuple(model.aps) != tuple(nba.aps):
         raise ValueError(
             f"alphabet mismatch: model tracks {model.aps}, "
             f"automaton reads {nba.aps}")
-    (acc,) = nba.accepting
-    states = sorted(nba.states, key=repr)
-    nb = len(states)
-    rank = {b: i for i, b in enumerate(states)}
-    b_succ = {}          # letter code * nb + rank of b -> 2 * ranks of b'
-    for b, o, b2 in nba.edges:
-        b_succ.setdefault(letter_code(o, model.aps) * nb + rank[b],
-                          []).append(2 * rank[b2])
-    for outs in b_succ.values():
-        outs.sort()
-    is_acc = bytes(b in acc for b in states)
+    if len(nba.acc) != 1:
+        raise ValueError(f"the automaton has {len(nba.acc)} accepting sets, "
+                         f"not 1; degeneralize it first")
+    nb = nba.n_states
+    b_succ = {}          # letter code * nb + b -> sorted successors of b
+    for b, outs in enumerate(nba.succ):
+        for code, b2 in sorted(outs):
+            b_succ.setdefault(code * nb + b, []).append(b2)
+    is_acc = bytes(b in nba.acc[0] for b in range(nb))
 
     trans = model.transitions
     n_ids = trans.n_ids
-    m = 2 * nb
 
-    keys = array("q", [2 * (trans.state_id(model.q_in) * nb
-                            + rank[nba.initial])])
+    keys = array("q", [trans.state_id(model.q_in) * nb + nba.start])
     ids = {keys[0]: 0}
     succ = []
     owner = bytearray()
@@ -154,11 +149,11 @@ def build_game(model, nba):
                 accepting.append(i)
             succ.append((i,))
             continue
-        x, b = divmod(k >> 1, nb)
-        if k & 1:
+        x, b = divmod(k, nb)
+        if x >= n_ids:
             owner.append(0)
-            code, s2 = divmod(x, n_ids)
-            base = m * s2
+            code, s2 = divmod(x - n_ids, n_ids)
+            base = nb * s2
             outs = [base + b2 for b2 in b_succ.get(code * nb + b, ())]
             if not outs:
                 redirected_p.append(i)
@@ -167,8 +162,8 @@ def build_game(model, nba):
             owner.append(1)
             if is_acc[b]:
                 accepting.append(i)
-            shift = 2 * b + 1
-            outs = [m * p + shift for p in trans.row(x)]
+            shift = n_ids * nb + b
+            outs = [nb * p + shift for p in trans.row(x)]
             if not outs:
                 redirected_o.append(i)
                 outs = (-1,)
@@ -181,7 +176,7 @@ def build_game(model, nba):
             row.append(j)
         succ.append(tuple(row))
     # keyed by the ints the successor tuples already hold: no second copy
-    return BuchiGame(_Names(keys, trans, states),
+    return BuchiGame(_Names(keys, trans, nba),
                      dict(zip(ids.values(), succ)), bytes(owner),
                      frozenset(accepting), 0,
                      tuple(redirected_p), tuple(redirected_o))

@@ -13,7 +13,7 @@ from apobs.abstraction import (SINK, _P_E, _P_Z, Mode, SymbolicModel,
                                SystemSpec, _Transitions, box_vs_region,
                                gamma, patrol_theta, region_contains,
                                validate_tau, velocity_extents)
-from apobs.automata import Automaton, Q0, _reachable
+from apobs.automata import Automaton, Q0
 from apobs.ltl import (Atom, And, FalseF, Not, Or, Release, TrueF, Until,
                        formula_str, subformulas, to_nnf)
 from apobs.observations import (NEG, OBS, MultiChange, UndefinedSlice,
@@ -51,6 +51,29 @@ def rand_nnf(rng, depth, aps):
     cls = rng.choice([And, Or, Until, Release])
     return cls(rand_nnf(rng, depth - 1, aps),
                rand_nnf(rng, depth - 1, aps))
+
+
+# ---------------------------------------------------------------------------
+# Name-level views of an automaton
+
+def successors(a):
+    """Map each source state name to its list of (label, target) pairs."""
+    adj = {}
+    for s, o, d in a.edges:
+        adj.setdefault(s, []).append((o, d))
+    return adj
+
+
+def _reachable(adj, start):
+    seen = {start}
+    stack = [start]
+    while stack:
+        s = stack.pop()
+        for _, d in adj.get(s, ()):
+            if d not in seen:
+                seen.add(d)
+                stack.append(d)
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +174,7 @@ def full_gba_reference(f):
             i, r = idx[g], idx[g.right]
             accepting.append(frozenset(
                 v for v in states if v[r] != "A" or v[i] != "N"))
-    return Automaton(aps, frozenset(states) | {Q0}, frozenset(edges), Q0,
-                     tuple(accepting))
+    return hand_automaton(aps, set(states) | {Q0}, edges, Q0, accepting)
 
 
 def _gfg_reference():
@@ -166,9 +188,8 @@ def _gfg_reference():
         ("q2", g("E"), "q3"), ("q2", g("N"), "q1"),
         ("q3", g("A"), "q3"), ("q3", g("Z"), "q2"),
     }
-    return Automaton(("g",), frozenset({Q0, "q1", "q2", "q3"}),
-                     frozenset(edges), Q0,
-                     (frozenset({"q2", "q3"}), frozenset({"q1", "q2", "q3"})))
+    return hand_automaton(("g",), {Q0, "q1", "q2", "q3"}, edges, Q0,
+                          ({"q2", "q3"}, {"q1", "q2", "q3"}))
 
 
 def gba_isomorphic(a, b):
@@ -247,8 +268,8 @@ def prune(a):
     keep = (live & _reachable(adj, init)) | {init}
     edges = frozenset((s, o, d) for s, o, d in a.edges
                       if s in keep and d in keep)
-    return Automaton(a.aps, frozenset(keep), edges, init,
-                     tuple(frozenset(fs & keep) for fs in a.accepting))
+    return hand_automaton(a.aps, keep, edges, init,
+                          [fs & keep for fs in a.accepting])
 
 
 def trim_reference(a):
@@ -267,6 +288,79 @@ def trim_reference(a):
         if new == live:
             return live
         live = new
+
+
+def minimize_reference(a):
+    """``minimize`` on state names: the coarsest partition in which
+    states of a block belong to the same accepting sets and have identical
+    (label, target-block) edge sets; the initial state stays its own block
+    and keeps its name, every other block is the tuple of its states in
+    ``repr`` order."""
+    adj = successors(a)
+    states = sorted(a.states, key=repr)
+
+    def acc_sig(s):
+        return (s == a.initial,) + tuple(s in fs for fs in a.accepting)
+
+    block_of = {}
+    sig_to_block = {}
+    for s in states:
+        sig = acc_sig(s)
+        block_of[s] = sig_to_block.setdefault(sig, len(sig_to_block))
+
+    while True:
+        sigs = {}
+        for s in states:
+            sig = (block_of[s], frozenset(
+                (o, block_of[d]) for o, d in adj.get(s, ())))
+            sigs[s] = sig
+        remap = {}
+        new_block = {}
+        for s in states:
+            new_block[s] = remap.setdefault(sigs[s], len(remap))
+        if len(remap) == len(set(block_of.values())):
+            break
+        block_of = new_block
+
+    blocks = {}
+    for s in states:
+        blocks.setdefault(block_of[s], []).append(s)
+    block_state = {i: tuple(ss) for i, ss in blocks.items()}
+    block_state[block_of[a.initial]] = a.initial
+
+    edges = {(block_state[block_of[s]], o, block_state[block_of[d]])
+             for s, o, d in a.edges}
+    accepting = [{block_state[i] for i, ss in blocks.items() if ss[0] in fs}
+                 for fs in a.accepting]
+    return hand_automaton(a.aps, block_state.values(), edges, a.initial,
+                          accepting)
+
+
+def degeneralize_reference(a):
+    """``degeneralize`` on state names: states (s, i), i in 1..m, the
+    counter advancing from i to (i mod m)+1 when s is in F_i, over the
+    accepting sets in reverse order (every state but the initial one when
+    there is none); accepting set {(s, 1) | s in F_1}, reachable part."""
+    accepting = tuple(reversed(a.accepting)) or (a.states - {a.initial},)
+    m = len(accepting)
+    adj = successors(a)
+
+    edges = set()
+    init = (a.initial, 1)
+    seen = {init}
+    stack = [init]
+    while stack:
+        s, i = stack.pop()
+        i2 = (i % m) + 1 if s in accepting[i - 1] else i
+        for o, d in adj.get(s, ()):
+            nxt = (d, i2)
+            edges.add(((s, i), o, nxt))
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+
+    acc = {(s, 1) for s in accepting[0] if (s, 1) in seen}
+    return hand_automaton(a.aps, seen, edges, init, (acc,))
 
 
 # ---------------------------------------------------------------------------
@@ -832,6 +926,22 @@ def hand_model(aps, states, q_in, transitions, has_sink=False):
         ids, keys, index.get, rows.__getitem__, aps), has_sink)
 
 
+def hand_automaton(aps, states, edges, initial, accepting):
+    """The ``Automaton`` with these state names, (source, label, target)
+    edges, initial state and accepting sets, numbered as the pipeline
+    numbers its states: in the ``repr`` order of their names.  A label
+    whose APs are not ``aps`` in order raises a ValueError."""
+    names = sorted(set(states) | {initial}, key=repr)
+    index = {s: i for i, s in enumerate(names)}
+    succ = [[] for _ in names]
+    for s, o, d in edges:
+        succ[index[s]].append((letter_code(o, tuple(aps)), index[d]))
+    return Automaton(tuple(aps), tuple(map(tuple, succ)), index[initial],
+                     tuple(frozenset(map(index.__getitem__, fs))
+                           for fs in accepting),
+                     lambda: names)
+
+
 def rand_model(rng, letters, max_states=4):
     """Random total symbolic model over the given labels (every state has
     at least one outgoing transition, so all runs are infinite)."""
@@ -859,8 +969,7 @@ def rand_nba(rng, letters, max_states=3):
                     edges.add((b, o, b2))
     accepting = frozenset(b for b in states if rng.random() < 0.5)
     aps = tuple(sorted({p for o in letters for p, _ in o}))
-    return Automaton(aps, frozenset(states), frozenset(edges), states[0],
-                     (accepting,))
+    return hand_automaton(aps, states, edges, states[0], (accepting,))
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,13 @@ from apobs.abstraction import (Mode, OutOfDomainError, SINK, SystemSpec,
                                system_spec_from_json,
                                system_spec_to_json, validate_tau,
                                velocity_extents, _P_E, _P_Z)
-from apobs.automata import Automaton
 from apobs.game import build_game, verify
 from apobs.observations import ChoppingError, UndefinedSlice, letter_code
 from apobs.scenarios import drone_spec
 from conftest import (_model_edges, cell_box, drone_model, edge_spec,
-                      field_mode, hand_model, random_spec, reach_box,
-                      reference_transitions, rho, sampled_trajectory)
+                      field_mode, hand_automaton, hand_model, random_spec,
+                      reach_box, reference_transitions, rho,
+                      sampled_trajectory)
 
 
 def _exact_refines_sampler(spec, horizon, seed, tracked_aps=None):
@@ -348,10 +348,11 @@ class TestLazyModel:
             with pytest.raises(ValueError, match="in order") as e:
                 hand_model(("p", "q"), (q,), q, {q: ((bad, q),)})
             assert "\n" not in str(e.value)
-            nba = Automaton(("p", "q"), frozenset({"b0"}),
-                            frozenset({("b0", bad, "b0")}), "b0",
-                            (frozenset({"b0"}),))
+            # an automaton's label is encoded when the automaton is made
             with pytest.raises(ValueError, match="in order") as e:
+                nba = hand_automaton(("p", "q"), frozenset({"b0"}),
+                                     frozenset({("b0", bad, "b0")}), "b0",
+                                     (frozenset({"b0"}),))
                 build_game(model, nba)
             assert "\n" not in str(e.value)
 

@@ -6,7 +6,7 @@ import time
 from contextlib import contextmanager
 
 from apobs.abstraction import simulate_trajectory, is_run_of
-from apobs.automata import Automaton, build_gba, translate
+from apobs.automata import build_gba, translate
 from apobs.cli import BENCH_FORMULAS, PAPER_REFERENCE
 from apobs.game import build_game, solve_buchi, verify
 from apobs.ltl import atoms, formula_str, parse_ltl, subformulas, to_nnf
@@ -14,9 +14,9 @@ from apobs.observations import OBS, consistency
 from apobs.scenarios import drone_spec
 from conftest import (_gfg_reference, accepting_run_states, brute_force_w0,
                       check_strategy, drone_model, enumerate_valid_words,
-                      gba_isomorphic, model_words_included, rand_buchi_game,
-                      rand_model, rand_nba, rand_nnf, rand_signal,
-                      winning_region_fixpoint)
+                      gba_isomorphic, hand_automaton, model_words_included,
+                      rand_buchi_game, rand_model, rand_nba, rand_nnf,
+                      rand_signal, winning_region_fixpoint)
 from semantics import accepts_lasso, chop, eval_signal, unique_run_oracle
 
 
@@ -194,8 +194,8 @@ def test_criterion_07_game_vs_language_inclusion():
                         edges.add((b, o, r.choice(states)))
             accepting = frozenset(b for b in states if r.random() < 0.5)
             aps = tuple(sorted({p for o in ls for p, _ in o}))
-            return Automaton(aps, frozenset(states), frozenset(edges),
-                             states[0], (accepting,))
+            return hand_automaton(aps, frozenset(states), frozenset(edges),
+                                  states[0], (accepting,))
 
         rng = random.Random(0)
         for i in range(200):

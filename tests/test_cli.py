@@ -219,8 +219,10 @@ def test_exports_independent_of_hash_seed(spec_file, tmp_path):
     # change with PYTHONHASHSEED; no export may depend on them
     src = str(Path(apobs.__file__).resolve().parents[1])
     exports = []
+    dots = []
     for seed in ("0", "2"):
         report, game = tmp_path / f"r{seed}.json", tmp_path / f"g{seed}.json"
+        dot = tmp_path / f"a{seed}.dot"
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
         subprocess.run(
             [sys.executable, "-m", "apobs.cli", "verify", "--system",
@@ -230,7 +232,20 @@ def test_exports_independent_of_hash_seed(spec_file, tmp_path):
         payload = json.loads(report.read_text())
         del payload["times"]
         exports.append((payload, json.loads(game.read_text())))
+        # the 49-state automaton of G r & F (g & F p); INCONCLUSIVE exits 2
+        run = subprocess.run(
+            [sys.executable, "-m", "apobs.cli", "verify", "--system",
+             spec_file, "--formula", "G r & F (g & F p)", "--repeat", "1",
+             "--export-automaton", str(dot)],
+            env=env, capture_output=True)
+        assert run.returncode == EXIT_INCONCLUSIVE, run.stderr
+        dots.append(dot.read_bytes())
     assert exports[0] == exports[1]
+    assert dots[0] == dots[1]
+    # sha256 of the DOT text: a change of the automaton's representation
+    # keeps these bytes
+    assert hashlib.sha256(dots[0]).hexdigest() == \
+        "2edc3b633ddbbf9f3e3cb93305ac0a88951233af9531fe6bcdd489349caf73f2"
     # sha256 of the canonical JSON of the report (without times) and of
     # the game: a change of the game's representation keeps these bytes
     sha = [hashlib.sha256(json.dumps(x, sort_keys=True).encode()).hexdigest()

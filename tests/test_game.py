@@ -5,7 +5,6 @@ import json
 import random
 import weakref
 from collections.abc import Sequence
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import apobs.abstraction as abstraction_module
 import apobs.game as game_module
 from apobs.abstraction import SystemSpec, Mode, system_spec_to_json
-from apobs.automata import Automaton, translate
+from apobs.automata import translate
 from apobs.cli import BENCH_FORMULAS
 from apobs.game import (LOSE, WIN, BuchiGame, PipelineError, Report,
                         _config_hash, build_game, game_to_json,
@@ -22,9 +21,9 @@ from apobs.game import (LOSE, WIN, BuchiGame, PipelineError, Report,
 from apobs.ltl import atoms, parse_ltl, to_nnf
 from apobs.scenarios import drone_spec
 from conftest import (brute_force_w0, build_game_reference, check_strategy,
-                      drone_model, hand_model, rand_buchi_game, rand_model,
-                      rand_nba, rand_nnf, random_spec,
-                      winning_region_fixpoint)
+                      drone_model, hand_automaton, hand_model,
+                      rand_buchi_game, rand_model, rand_nba, rand_nnf,
+                      random_spec, winning_region_fixpoint)
 
 
 def _letters(*obs):
@@ -37,9 +36,9 @@ def _one_state_model(letters):
 
 
 def _accept_all_nba(letters):
-    return Automaton(("p",), frozenset({"b0"}),
-                     frozenset(("b0", o, "b0") for o in letters),
-                     "b0", (frozenset({"b0"}),))
+    return hand_automaton(("p",), frozenset({"b0"}),
+                          frozenset(("b0", o, "b0") for o in letters),
+                          "b0", (frozenset({"b0"}),))
 
 
 def _spec_1d():
@@ -73,9 +72,9 @@ class TestBuildGame:
         # the automaton only reads N, the model only emits A: every Player
         # vertex is stuck and gets redirected to the LOSE sink
         model = _one_state_model(_letters("A"))
-        nba = Automaton(("p",), frozenset({"b0"}),
-                        frozenset({("b0", (("p", "N"),), "b0")}),
-                        "b0", (frozenset({"b0"}),))
+        nba = hand_automaton(("p",), frozenset({"b0"}),
+                             frozenset({("b0", (("p", "N"),), "b0")}),
+                             "b0", (frozenset({"b0"}),))
         game = build_game(model, nba)
         assert LOSE in game.names
         assert game.redirected_player
@@ -96,9 +95,9 @@ class TestBuildGame:
 
     def test_alphabet_mismatch(self):
         model = _one_state_model(_letters("A"))
-        nba = Automaton(("q",), frozenset({"b0"}),
-                        frozenset({("b0", (("q", "A"),), "b0")}),
-                        "b0", (frozenset({"b0"}),))
+        nba = hand_automaton(("q",), frozenset({"b0"}),
+                             frozenset({("b0", (("q", "A"),), "b0")}),
+                             "b0", (frozenset({"b0"}),))
         with pytest.raises(ValueError, match="alphabet mismatch"):
             build_game(model, nba)
 
@@ -109,21 +108,34 @@ class TestBuildGame:
         q = (0,)
         a = (("p", "A"), ("q", "A"))
         model = hand_model(("p", "q"), (q,), q, {q: ((a, q),)})
-        nba = Automaton(("p", "q"), frozenset({"b0"}),
-                        frozenset({("b0", a, "b0"),
-                                   ("b0", a[::-1], "b0")}),
-                        "b0", (frozenset({"b0"}),))
         with pytest.raises(ValueError, match="in order") as e:
+            nba = hand_automaton(("p", "q"), frozenset({"b0"}),
+                                 frozenset({("b0", a, "b0"),
+                                            ("b0", a[::-1], "b0")}),
+                                 "b0", (frozenset({"b0"}),))
             build_game(model, nba)
         assert "\n" not in str(e.value)
 
     @pytest.mark.parametrize("n_sets", [0, 2])
     def test_needs_one_accepting_set(self, n_sets):
         model = _one_state_model(_letters("A"))
-        nba = replace(_accept_all_nba(_letters("A")),
-                      accepting=(frozenset({"b0"}),) * n_sets)
+        nba = hand_automaton(("p",), {"b0"}, {("b0", (("p", "A"),), "b0")},
+                             "b0", (frozenset({"b0"}),) * n_sets)
         with pytest.raises(ValueError):
             build_game(model, nba)
+
+    @pytest.mark.parametrize("formula, n_sets",
+                             [("G r & F (g & F p)", 3), ("r", 0)])
+    def test_generalized_automaton(self, formula, n_sets):
+        # translate's "gba" passed where its degeneralization belongs: a
+        # one-line error that names the count, not a failed unpacking
+        nnf = to_nnf(parse_ltl(formula))
+        gba = translate(nnf)["gba"]
+        assert len(gba.accepting) == n_sets
+        with pytest.raises(ValueError, match=f"has {n_sets} accepting sets,"
+                           " not 1") as e:
+            build_game(drone_model(atoms(nnf)), gba)
+        assert "\n" not in str(e.value)
 
     def test_more_automaton_edges_never_hurt(self):
         # extra automaton edges only add Player options
@@ -138,7 +150,8 @@ class TestBuildGame:
                 for o in letters:
                     if rng.random() < 0.3:
                         extra.add((b, o, rng.choice(sorted(nba.states))))
-            nba2 = replace(nba, edges=frozenset(extra))
+            nba2 = hand_automaton(nba.aps, nba.states, extra, nba.initial,
+                                  nba.accepting)
             r1 = solve_buchi(build_game(model, nba))
             r2 = solve_buchi(build_game(model, nba2))
             if r1.winning:
@@ -179,10 +192,10 @@ class TestBuildGameReference:
         model = hand_model(("p",), (q0, q1, q2), q0,
                            {q0: ((a, q1), (a, q2)), q1: (),
                             q2: ((z, q2), (a, q0))})
-        nba = Automaton(("p",), frozenset({"b0", "b1"}),
-                        frozenset({("b0", a, "b1"), ("b1", a, "b0"),
-                                   ("b1", a, "b1")}),
-                        "b0", (frozenset({"b1"}),))
+        nba = hand_automaton(("p",), frozenset({"b0", "b1"}),
+                             frozenset({("b0", a, "b1"), ("b1", a, "b0"),
+                                        ("b1", a, "b1")}),
+                             "b0", (frozenset({"b1"}),))
         game = _assert_same_game(model, nba)
         assert {game.names[v] for v in game.redirected_opponent} == \
             {("O", q1, "b0"), ("O", q1, "b1")}
@@ -200,11 +213,11 @@ class TestBuildGameReference:
                             q1: ((a, q1), (z, q0))})
         assert len(model.transitions.row(0)) == 2
         assert model.transitions[q0] == ((a, q1), (z, q0))
-        nba = Automaton(("p",), frozenset({"b0", "b1"}),
-                        frozenset({("b0", a, "b0"), ("b0", a, "b1"),
-                                   ("b1", z, "b0"), ("b1", a, "b1"),
-                                   ("b0", z, "b1")}),
-                        "b0", (frozenset({"b1"}),))
+        nba = hand_automaton(("p",), frozenset({"b0", "b1"}),
+                             frozenset({("b0", a, "b0"), ("b0", a, "b1"),
+                                        ("b1", z, "b0"), ("b1", a, "b1"),
+                                        ("b0", z, "b1")}),
+                             "b0", (frozenset({"b1"}),))
         game = _assert_same_game(model, nba)
         assert game.edges[0] == (1, 2)
         assert game.n_player == 4 and game.n_opponent == 4
