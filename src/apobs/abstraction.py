@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import numbers
 import random
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .observations import (OBS, MultiChange, UndefinedSlice, letter_code,
                            letter_of)
@@ -151,8 +150,8 @@ def _finite(x):
 class SystemSpec:
     """A grid-quantized system.  A spec is treated as immutable: the grid
     ranges and edges, the cells, each cell's mode (``cell_modes``),
-    ``v_max``, the step tables and the canonical JSON text are computed
-    once per instance and kept (``dataclasses.replace`` makes a new one)."""
+    ``v_max`` and the step tables are computed once per instance and
+    kept (``dataclasses.replace`` makes a new one)."""
     dim: int
     domain: tuple           # ((lo, hi), ...) per axis
     eta: float
@@ -175,6 +174,8 @@ class SystemSpec:
                                        for xs in (m.u, m.du or m.u)):
                 raise ValueError(f"mode {name!r}: u and du need {self.dim} "
                                  f"entries")
+            if m.u is None and m.du is not None:
+                raise ValueError(f"mode {name!r}: du without u")
             if m.u is None and m.v - m.ev < 0:
                 raise ValueError(f"mode {name!r}: speed deviation exceeds "
                                  f"nominal speed")
@@ -212,6 +213,10 @@ class SystemSpec:
             except (KeyError, TypeError, AttributeError):
                 raise ValueError("field: a table needs 'cells' mapping each "
                                  "cell to a mode name") from None
+            for key in f["cells"]:
+                if not isinstance(key, tuple) or len(key) != self.dim:
+                    raise ValueError(f"field: table key {key!r} needs "
+                                     f"{self.dim} indices")
         else:
             raise ValueError(f"field: kind {kind!r} is not table or patrol")
         missing = names - self.modes.keys()
@@ -256,11 +261,6 @@ class SystemSpec:
         """Largest speed bound over the modes of the grid cells: a table
         key outside the grid names no cell's mode."""
         return max((m.v_max for m in self.cell_modes[0]), default=0.0)
-
-    @functools.cached_property
-    def json_text(self):
-        """``system_spec_to_json`` as JSON text with sorted keys."""
-        return json.dumps(system_spec_to_json(self), sort_keys=True)
 
     @functools.cached_property
     def cells(self):
@@ -822,12 +822,15 @@ def _interval(d):
     return _number(lo), _number(hi)
 
 
-def _mode_from_json(obj):
-    if "u" in obj:
-        return Mode(u=tuple(map(_number, obj["u"])),
-                    du=tuple(map(_number, obj.get("du", ()))) or None)
-    return Mode(**{k: _number(obj.get(k, 0.0))
-                   for k in ("v", "ev", "theta", "etheta")})
+def _mode_from_json(name, obj):
+    """A Mode from its JSON object, whose keys are ``Mode``'s fields; any
+    other key raises a ValueError that names it."""
+    unknown = obj.keys() - {f.name for f in fields(Mode)}
+    if unknown:
+        raise ValueError(f"mode {name!r}: unknown key "
+                         f"{', '.join(sorted(map(repr, unknown)))}")
+    return Mode(**{k: list(map(_number, x)) if k in ("u", "du")
+                   else _number(x) for k, x in obj.items()})
 
 
 def system_spec_to_json(spec):
@@ -858,7 +861,7 @@ def _modes_from_json(obj):
         field = dict(field)
         field["cells"] = {tuple(int(v) for v in k.split(",")): n
                           for k, n in field["cells"].items()}
-    modes = {name: _mode_from_json(m) for name, m in modes_obj.items()}
+    modes = {name: _mode_from_json(name, m) for name, m in modes_obj.items()}
     return modes, field
 
 

@@ -300,12 +300,15 @@ class Report:
 
 
 def _config_hash(spec, formula_text, tracked):
-    """Hash of ``json.dumps({"spec": system_spec_to_json(spec), "formula":
-    formula_text, "tracked": list(tracked)}, sort_keys=True)``, built
-    around the spec's JSON text, which is serialized once per spec."""
-    blob = (f'{{"formula": {json.dumps(formula_text)}, '
-            f'"spec": {spec.json_text}, '
-            f'"tracked": {json.dumps(list(tracked))}}}')
+    """The first 16 hex digits of the sha256 of one sorted-key JSON text
+    of the query and the system: each grid cell's resolved mode, so mode
+    names and table keys outside the grid do not change it."""
+    blob = json.dumps({
+        "formula": formula_text, "tracked": list(tracked), "dim": spec.dim,
+        "domain": spec.domain, "eta": spec.eta, "tau": spec.tau,
+        "x_in": spec.x_in, "aps": spec.ap_regions,
+        "modes": list(map(_abs._mode_to_json, spec.cell_modes[0])),
+        "cell_modes": list(spec.cell_modes[1])}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -343,9 +346,6 @@ def verify(spec, formula, repeat=1, allow_unsound_tau=False):
         f = formula
     nnf = _stage("nnf", _ltl.to_nnf, f)
     tracked = _ltl.atoms(nnf)
-    # before the pipeline: the spec's one-time serialization then reuses
-    # memory the game and solver take later, instead of adding to it
-    config_hash = _config_hash(spec, formula_text, tracked)
 
     times = dict.fromkeys(("automaton", "model", "game_build", "game_solve"),
                           0.0)
@@ -361,6 +361,10 @@ def verify(spec, formula, repeat=1, allow_unsound_tau=False):
         model = timed("model", _abs.build_symbolic_model,
                       replace(spec) if run else spec,
                       tracked_aps=tracked, force=allow_unsound_tau)
+        if not run:
+            # cell_modes is resolved: a grid too large failed in the model
+            # stage, and the game reuses the memory the hash takes
+            config_hash = _config_hash(spec, formula_text, tracked)
         game = timed("game_build", build_game, model, nba)
         result = timed("game_solve", solve_buchi, game)
     times["total"] = sum(times.values())

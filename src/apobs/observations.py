@@ -19,8 +19,6 @@ This module provides:
 """
 from __future__ import annotations
 
-import functools
-
 __all__ = [
     "OBS", "NEG", "consistency", "letter_code", "letter_of",
     "ChoppingError", "UndefinedSlice", "MultiChange",
@@ -84,8 +82,6 @@ def consistency(connective, o1, o2):
     return _TABLES[connective][(o1, o2)]
 
 
-# memoized: a query reads few distinct letters, each many times
-@functools.lru_cache(maxsize=4096)
 def letter_code(label, aps):
     """The integer code of a letter, a tuple of (ap, observation) pairs
     over ``aps``: its k-th digit in base ``len(OBS)`` is the index in

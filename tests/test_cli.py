@@ -148,6 +148,13 @@ class TestMalformedSpec:
         (lambda o: o["modes"].update(field={"kind": "patrol", "tilt": 0.2,
                                             "xleft": -9}),
          "field: patrol takes no parameters, got 'tilt', 'xleft'"),
+        (lambda o: o["modes"].update(field={
+            "kind": "table", "cells": {"3": "default", "1,2,3": "default"}}),
+         "field: table key (3,) needs 2 indices"),
+        (lambda o: o["modes"].update(w={"speed": 4.0, "theta": 0.0}),
+         "mode 'w': unknown key 'speed'"),
+        (lambda o: o["modes"].update(w={"v": 4, "du": [1, 1]}),
+         "mode 'w': du without u"),
     ], ids=["missing-modes", "short-domain", "non-numeric-speed", "op-lt",
             "nan-threshold", "string-threshold", "negative-axis",
             "axis-out-of-range", "bool-axis", "nan-speed", "infinite-domain",
@@ -155,7 +162,8 @@ class TestMalformedSpec:
             "short-du", "ev-exceeds-v", "unknown-uniform-mode", "weird-kind",
             "unknown-table-default", "unknown-table-cell",
             "patrol-without-default", "unhashable-table-cell",
-            "patrol-1d", "patrol-vector-default", "patrol-with-parameters"])
+            "patrol-1d", "patrol-vector-default", "patrol-with-parameters",
+            "table-key-arity", "unknown-mode-key", "du-without-u"])
     def test_one_line_error(self, spec_file, tmp_path, capsys, edit, field):
         obj = json.loads(Path(spec_file).read_text())
         edit(obj)
@@ -186,6 +194,10 @@ class TestMalformedSpec:
             SystemSpec(dim=1, domain=((-0.5, 6.5),), eta=1.0, tau=1.0,
                        x_in=(0.0,), modes={"default": Mode(u=(0.9,),
                                                            du=(-0.6,))},
+                       field="default", ap_regions={})
+        with pytest.raises(ValueError, match="mode 'default': du without u"):
+            SystemSpec(dim=1, domain=((0.0, 2.0),), eta=1.0, tau=1.0,
+                       x_in=(1.0,), modes={"default": Mode(v=1.0, du=(0.1,))},
                        field="default", ap_regions={})
 
     def test_not_an_object(self, tmp_path, capsys):
@@ -251,7 +263,7 @@ def test_exports_independent_of_hash_seed(spec_file, tmp_path):
     sha = [hashlib.sha256(json.dumps(x, sort_keys=True).encode()).hexdigest()
            for x in exports[0]]
     assert sha == [
-        "fd4199a8d97a29d6b2431e8109ec69bbb405cfd3901a8f09a828e311c854e297",
+        "0fe00fde0178c7144a3f52241a02666fdb0f01859bfcfea68d9ff43899134f4c",
         "a55235a3832f655b0990867febb7b58fa0cb325a20b9e83c8aa9f7adbc189553"]
 
 

@@ -1,4 +1,5 @@
 """Büchi game construction, solving, strategy checking, and verify()."""
+import dataclasses
 import gc
 import hashlib
 import json
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import apobs.abstraction as abstraction_module
 import apobs.game as game_module
-from apobs.abstraction import SystemSpec, Mode, system_spec_to_json
+from apobs.abstraction import SystemSpec, Mode, _mode_to_json
 from apobs.automata import translate
 from apobs.cli import BENCH_FORMULAS
 from apobs.game import (LOSE, WIN, BuchiGame, PipelineError, Report,
@@ -433,9 +434,13 @@ class TestVerify:
 
     def test_config_hash_matches_definition(self):
         def direct(spec, formula_text, tracked):
-            blob = json.dumps({"spec": system_spec_to_json(spec),
-                               "formula": formula_text,
-                               "tracked": list(tracked)}, sort_keys=True)
+            modes, index = spec.cell_modes
+            blob = json.dumps({
+                "formula": formula_text, "tracked": list(tracked),
+                "dim": spec.dim, "domain": spec.domain, "eta": spec.eta,
+                "tau": spec.tau, "x_in": spec.x_in, "aps": spec.ap_regions,
+                "modes": [_mode_to_json(m) for m in modes],
+                "cell_modes": list(index)}, sort_keys=True)
             return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
         cases = [(drone_spec(), "G r & F (g & F p)", ("g", "p", "r")),
@@ -445,9 +450,62 @@ class TestVerify:
         for spec, text, tracked in cases:
             assert _config_hash(spec, text, tracked) == \
                 direct(spec, text, tracked)
-            # the second call reads the cached spec text
-            assert _config_hash(spec, text, tracked) == \
-                direct(spec, text, tracked)
+
+    @settings(derandomize=True, database=None, max_examples=100,
+              deadline=None)
+    @given(spec=random_spec(), data=st.data())
+    def test_config_hash_identifies_the_system(self, spec, data):
+        def h(s):
+            return _config_hash(s, "G p0", ("p0",))
+
+        def with_field(s, f, modes=None):
+            return dataclasses.replace(s, field=f, modes=modes or s.modes)
+
+        f = spec.field
+        if isinstance(f, str):
+            f = {"kind": "table", "cells": {}, "default": f}
+        name = {c: f["cells"].get(c, f["default"]) for c in spec.cells}
+        base = h(spec)
+
+        # a change of what the system does changes the hash
+        (lo, hi), x = spec.domain[0], spec.x_in[0]
+        x_in = ((lo + hi) / 2 if x != (lo + hi) / 2 else lo,) + spec.x_in[1:]
+        p = data.draw(st.sampled_from(sorted(spec.ap_regions)))
+        region = [list(conj) for conj in spec.ap_regions[p]]
+        i = data.draw(st.integers(0, len(region) - 1))
+        j = data.draw(st.integers(0, len(region[i]) - 1))
+        a, op, c = region[i][j]
+        region[i][j] = (a, op, c + 0.5)
+        cells = data.draw(st.lists(st.sampled_from(spec.cells), min_size=2,
+                                   max_size=2, unique=True))
+        fast = Mode(u=(2.5,) * spec.dim)   # no random_spec mode is as fast
+        changed = [
+            dataclasses.replace(spec, eta=spec.eta * 1.5),
+            dataclasses.replace(spec, tau=spec.tau + 0.1),
+            dataclasses.replace(spec, x_in=x_in),
+            dataclasses.replace(spec, domain=(
+                (lo, hi + spec.eta),) + spec.domain[1:]),
+            dataclasses.replace(spec, ap_regions={
+                **spec.ap_regions, p: tuple(map(tuple, region))}),
+            *(with_field(spec, {**f, "cells": {**f["cells"], c: "fast"}},
+                         {**spec.modes, "fast": fast}) for c in cells),
+        ]
+        assert len({base, *map(h, changed)}) == len(changed) + 1
+
+        # a respelling of the same system keeps it
+        rename = {"default": "d", "other": "o"}
+        beyond = tuple(kmax + 1 for _, kmax in spec.grid_ranges)
+        same = [
+            with_field(spec, f),   # a uniform field as the equivalent table
+            with_field(spec, {"kind": "table", "default": rename[f["default"]],
+                              "cells": {c: rename[n]
+                                        for c, n in f["cells"].items()}},
+                       {rename[n]: m for n, m in spec.modes.items()}),
+            with_field(spec, {"kind": "table", "cells": name}),
+            with_field(spec, {**f, "cells": {**f["cells"], beyond: "other"}}),
+        ]
+        for other in same:
+            assert h(other) == base
 
     def test_model_and_game_freed_without_the_cycle_collector(self):
         # neither the model nor the game nor the spec (with the step

@@ -102,6 +102,13 @@ class TestLetterCode:
         assert letter_code((("p", "Z"), ("q", "E")), ("p", "q")) == \
             OBS.index("Z") + len(OBS) * OBS.index("E")
 
+    def test_list_inputs(self):
+        # a letter and its APs may be lists as well as tuples
+        assert letter_code([("p", "Z")], ("p",)) == 1
+        assert letter_code((("p", "Z"),), ["p"]) == 1
+        with pytest.raises(ValueError, match="in order"):
+            letter_code([("q", "A"), ("p", "Z")], ["p", "q"])
+
 
 class TestSignalWord:
     def test_valid_word(self):
