@@ -176,6 +176,9 @@ class SystemSpec:
                                  f"entries")
             if m.u is None and m.du is not None:
                 raise ValueError(f"mode {name!r}: du without u")
+            if m.u is not None and any((m.v, m.ev, m.theta, m.etheta)):
+                raise ValueError(f"mode {name!r}: vector form u mixed with "
+                                 f"a nonzero angular field")
             if m.u is None and m.v - m.ev < 0:
                 raise ValueError(f"mode {name!r}: speed deviation exceeds "
                                  f"nominal speed")
@@ -270,9 +273,10 @@ class SystemSpec:
 
     @functools.cached_property
     def cell_modes(self):
-        """(modes, index): the distinct modes of the grid cells in order of
-        first use, and an array giving each cell, in row-major order, its
-        position in ``modes``.  Field forms:
+        """(modes, index): the distinct mode values of the grid cells in
+        order of first use, and an array giving each cell, in row-major
+        order, its position in ``modes``; names of equal modes share one
+        position.  Field forms:
 
           * a string naming a mode ("default", ...): uniform field;
           * {"kind": "table", "cells": {cell: mode name}, "default": name};
@@ -299,9 +303,12 @@ class SystemSpec:
             def mode(theta):
                 return Mode(v=base.v, ev=base.ev, theta=theta,
                             etheta=base.etheta)
-        # mode name or heading -> position in modes, in order of first use
-        pos = {k: i for i, k in enumerate(dict.fromkeys(keys))}
-        return tuple(map(mode, pos)), array("L", map(pos.__getitem__, keys))
+        # mode -> position in modes, and mode name or heading -> position,
+        # both in order of first use
+        pos, at = {}, {}
+        for k in dict.fromkeys(keys):
+            at[k] = pos.setdefault(mode(k), len(pos))
+        return tuple(pos), array("L", map(at.__getitem__, keys))
 
     @functools.cached_property
     def _steps(self):
@@ -824,11 +831,16 @@ def _interval(d):
 
 def _mode_from_json(name, obj):
     """A Mode from its JSON object, whose keys are ``Mode``'s fields; any
-    other key raises a ValueError that names it."""
+    other key, or an angular key beside ``u``, raises a ValueError that
+    names it."""
     unknown = obj.keys() - {f.name for f in fields(Mode)}
     if unknown:
         raise ValueError(f"mode {name!r}: unknown key "
                          f"{', '.join(sorted(map(repr, unknown)))}")
+    mixed = obj.keys() & {"v", "ev", "theta", "etheta"} if "u" in obj else ()
+    if mixed:
+        raise ValueError(f"mode {name!r}: vector form u mixed with angular "
+                         f"key {', '.join(sorted(map(repr, mixed)))}")
     return Mode(**{k: list(map(_number, x)) if k in ("u", "du")
                    else _number(x) for k, x in obj.items()})
 

@@ -22,6 +22,7 @@ import time
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from . import abstraction as _abs
 from . import automata as _aut
@@ -116,8 +117,12 @@ def build_game(model, nba):
     The product is explored on ints (see ``_Names`` for the vertex
     keys): an Opponent vertex is keyed by the model's state id, a Player
     vertex by the model's pair int (letter code and successor id), and
-    the automaton's successors by letter code and state.  No vertex
-    tuple is made while exploring."""
+    the automaton's successors by letter code and state.  Player ids are
+    found in one table per automaton state, keyed by the pair ints the
+    model's rows already hold, so an Opponent vertex's whole row is
+    looked up at once.  No
+    vertex tuple is made while exploring, and every redirected vertex of
+    one owner shares one successor row."""
     if tuple(model.aps) != tuple(nba.aps):
         raise ValueError(
             f"alphabet mismatch: model tracks {model.aps}, "
@@ -136,59 +141,84 @@ def build_game(model, nba):
     n_ids = trans.n_ids
 
     keys = array("q", [trans.state_id(model.q_in) * nb + nba.start])
-    ids = {keys[0]: 0}
-    succ = []
+    ids = {keys[0]: 0}              # Opponent key -> id
+    p_ids = [{} for _ in range(nb)]  # per b: model pair int -> Player id
+    sinks = {}          # sink key -> the row of every vertex sent to it
+    verts = [0]      # the id ints, each shared by the rows and ``edges``
+    edges = {}
     owner = bytearray()
     accepting = []
     redirected_p = []
     redirected_o = []
-    for i, k in enumerate(keys):  # grows while it is read: breadth-first
+    for i, k in zip(verts, keys):  # both grow while read: breadth-first
         if k < 0:                 # WIN or LOSE
             owner.append(0)
             if k == -1:
                 accepting.append(i)
-            succ.append((i,))
+            edges[i] = (i,)
             continue
         x, b = divmod(k, nb)
         if x >= n_ids:
             owner.append(0)
             code, s2 = divmod(x - n_ids, n_ids)
-            base = nb * s2
-            outs = [base + b2 for b2 in b_succ.get(code * nb + b, ())]
-            if not outs:
-                redirected_p.append(i)
-                outs = (-2,)
+            row = []
+            for b2 in b_succ.get(code * nb + b, ()):
+                w = nb * s2 + b2
+                j = ids.get(w)
+                if j is None:
+                    ids[w] = j = len(keys)
+                    keys.append(w)
+                    verts.append(j)
+                row.append(j)
+            if row:
+                edges[i] = tuple(row)
+                continue
+            redirected, sink = redirected_p, -2
         else:
             owner.append(1)
             if is_acc[b]:
                 accepting.append(i)
-            shift = n_ids * nb + b
-            outs = [nb * p + shift for p in trans.row(x)]
-            if not outs:
-                redirected_o.append(i)
-                outs = (-1,)
-        row = []
-        for w in outs:
-            j = ids.get(w)
-            if j is None:
-                ids[w] = j = len(keys)
-                keys.append(w)
-            row.append(j)
-        succ.append(tuple(row))
-    # keyed by the ints the successor tuples already hold: no second copy
-    return BuchiGame(_Names(keys, trans, nba),
-                     dict(zip(ids.values(), succ)), bytes(owner),
+            ws = trans.row(x)
+            if ws:
+                d = p_ids[b]
+                js = list(map(d.get, ws))
+                t = -1
+                shift = n_ids * nb + b
+                for _ in range(js.count(None)):   # the successors not yet seen
+                    t = js.index(None, t + 1)
+                    d[ws[t]] = js[t] = j = len(keys)
+                    keys.append(nb * ws[t] + shift)
+                    verts.append(j)
+                edges[i] = tuple(js)
+                continue
+            redirected, sink = redirected_o, -1
+        redirected.append(i)
+        if sink not in sinks:
+            sinks[sink] = (len(keys),)
+            keys.append(sink)
+            verts.append(sinks[sink][0])
+        edges[i] = sinks[sink]
+    return BuchiGame(_Names(keys, trans, nba), edges, bytes(owner),
                      frozenset(accepting), 0,
                      tuple(redirected_p), tuple(redirected_o))
 
 
 @dataclass(frozen=True)
 class SolveResult:
-    w0: frozenset             # vertex ids
-    w1: frozenset
+    """Player's winning region W0 as ``won``, one byte per vertex id (1 in
+    W0, 0 in W1); the id sets ``w0`` and ``w1`` are made on first read."""
+    won: bytes
     strategy0: dict           # Player ids in W0 -> chosen successor id
     winning: bool
     stats: dict
+
+    @cached_property
+    def w0(self):
+        return frozenset(v for v, x in enumerate(self.won) if x)
+
+    @cached_property
+    def w1(self):
+        return frozenset(v for v, x in enumerate(self.won) if not x)
 
 
 def _attractor(target, player, live, succ, pred, owner, strategy, all_live):
@@ -229,23 +259,22 @@ def solve_buchi(game):
     alternating-attractor Büchi fixpoint), with a positional winning
     strategy for Player on W0.
 
-    Reads the game's ids directly and builds only the predecessor lists;
-    the shrinking universe is a bytearray, and the strategy is a list
-    indexed by id, listed as a dict in id order.  So for a game from
-    ``build_game`` the result, strategy included, does not depend on the
-    hash seed."""
+    Reads the game's ids directly and builds only the predecessor lists,
+    of the id ints that ``edges`` holds; the shrinking universe is a
+    bytearray, and the strategy is a list indexed by id, listed as a dict
+    in id order.  So for a game from ``build_game`` the result, strategy
+    included, does not depend on the hash seed."""
     succ = game.edges
     owner = game.owner
     n = len(owner)
     pred = [[] for _ in range(n)]
-    for v in range(n):
-        for w in succ[v]:
+    for v, ws in succ.items():
+        for w in ws:
             pred[w].append(v)
     accepting = sorted(game.accepting)
 
     live = bytearray(b"\x01") * n
     n_live = n
-    w1 = []
     iterations = 0
     while n_live:
         iterations += 1
@@ -262,15 +291,15 @@ def solve_buchi(game):
                             strategy0[v] = w
                             break
             break
-        dead = [v for v in range(n) if live[v] and not reach[v]]
+        dead = [v for v in succ if live[v] and not reach[v]]
         _, trapped = _attractor(dead, 1, live, succ, pred, owner, None,
                                 n_live == n)
         for v in trapped:
             live[v] = 0
-        w1 += trapped
         n_live -= len(trapped)
     else:
         strategy0 = ()           # W0 is empty
+    pred = reach = reached = dead = trapped = None   # freed before the result
 
     stats = {"iterations": iterations,
              "vertices": n,
@@ -278,8 +307,7 @@ def solve_buchi(game):
              "opponent_vertices": game.n_opponent,
              "redirected_player": len(game.redirected_player),
              "redirected_opponent": len(game.redirected_opponent)}
-    return SolveResult(frozenset(v for v in range(n) if live[v]),
-                       frozenset(w1),
+    return SolveResult(bytes(live),
                        {v: w for v, w in enumerate(strategy0) if w >= 0},
                        bool(live[game.initial]), stats)
 
@@ -299,16 +327,26 @@ class Report:
     notes: dict = field(default_factory=dict)
 
 
+def _floats(xs):
+    return [float(x) for x in xs]
+
+
 def _config_hash(spec, formula_text, tracked):
     """The first 16 hex digits of the sha256 of one sorted-key JSON text
-    of the query and the system: each grid cell's resolved mode, so mode
-    names and table keys outside the grid do not change it."""
+    of the query and the system: each grid cell's resolved mode value,
+    and every quantity as a float, so mode names, table keys outside the
+    grid and int spellings such as 0 for 0.0 do not change it."""
+    modes = [{k: _floats(x) if isinstance(x, list) else float(x)
+              for k, x in _abs._mode_to_json(m).items()}
+             for m in spec.cell_modes[0]]
     blob = json.dumps({
         "formula": formula_text, "tracked": list(tracked), "dim": spec.dim,
-        "domain": spec.domain, "eta": spec.eta, "tau": spec.tau,
-        "x_in": spec.x_in, "aps": spec.ap_regions,
-        "modes": list(map(_abs._mode_to_json, spec.cell_modes[0])),
-        "cell_modes": list(spec.cell_modes[1])}, sort_keys=True)
+        "domain": list(map(_floats, spec.domain)), "eta": float(spec.eta),
+        "tau": float(spec.tau), "x_in": _floats(spec.x_in),
+        "aps": {p: [[(a, op, float(c)) for a, op, c in conj] for conj in r]
+                for p, r in spec.ap_regions.items()},
+        "modes": modes, "cell_modes": list(spec.cell_modes[1])},
+        sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -426,8 +464,8 @@ def solve_result_to_json(game, r):
     names = _b_names(vertices)
     return {
         "verdict": "VERIFIED" if r.winning else "INCONCLUSIVE",
-        "w0_size": len(r.w0),
-        "w1_size": len(r.w1),
+        "w0_size": r.won.count(1),
+        "w1_size": r.won.count(0),
         "strategy": [{"vertex": _vjson(vertices[v], names),
                       "move": _vjson(vertices[w], names)}
                      for v, w in r.strategy0.items()],

@@ -155,6 +155,11 @@ class TestMalformedSpec:
          "mode 'w': unknown key 'speed'"),
         (lambda o: o["modes"].update(w={"v": 4, "du": [1, 1]}),
          "mode 'w': du without u"),
+        (lambda o: o["modes"].update(w={"u": [1.0, 0.0], "v": 4.0}),
+         "mode 'w': vector form u mixed with angular key 'v'"),
+        (lambda o: o["modes"].update(w={"u": [1.0, 0.0], "du": [0.1, 0.1],
+                                        "theta": 0.0, "etheta": 0.1}),
+         "mode 'w': vector form u mixed with angular key 'etheta', 'theta'"),
     ], ids=["missing-modes", "short-domain", "non-numeric-speed", "op-lt",
             "nan-threshold", "string-threshold", "negative-axis",
             "axis-out-of-range", "bool-axis", "nan-speed", "infinite-domain",
@@ -163,7 +168,8 @@ class TestMalformedSpec:
             "unknown-table-default", "unknown-table-cell",
             "patrol-without-default", "unhashable-table-cell",
             "patrol-1d", "patrol-vector-default", "patrol-with-parameters",
-            "table-key-arity", "unknown-mode-key", "du-without-u"])
+            "table-key-arity", "unknown-mode-key", "du-without-u",
+            "vector-and-speed", "vector-and-heading"])
     def test_one_line_error(self, spec_file, tmp_path, capsys, edit, field):
         obj = json.loads(Path(spec_file).read_text())
         edit(obj)
@@ -198,6 +204,13 @@ class TestMalformedSpec:
         with pytest.raises(ValueError, match="mode 'default': du without u"):
             SystemSpec(dim=1, domain=((0.0, 2.0),), eta=1.0, tau=1.0,
                        x_in=(1.0,), modes={"default": Mode(v=1.0, du=(0.1,))},
+                       field="default", ap_regions={})
+        # readers of a vector-form mode ignore the angular fields
+        with pytest.raises(ValueError, match="mode 'w': vector form u mixed "
+                           "with a nonzero angular field"):
+            SystemSpec(dim=1, domain=((0.0, 2.0),), eta=1.0, tau=1.0,
+                       x_in=(1.0,), modes={"default": Mode(u=(1.0,)),
+                                           "w": Mode(u=(1.0,), v=4.0)},
                        field="default", ap_regions={})
 
     def test_not_an_object(self, tmp_path, capsys):

@@ -352,6 +352,41 @@ class TestProductGames:
         if report.verdict == "VERIFIED":
             assert check_strategy(game, res.strategy0)
 
+    # sha256 of the game and its solve on the eta = 0.25 drone, per query
+    SCALE_PINS = {
+        "G r": "06181eede250373bb556b1accd3655a12ee007b4c06f68cec3a9d130606432ad",
+        "F G r":
+            "da0dbcedd1cb3b0e24f01ed03079a32a6bbe59a9a87185e831230232a2bdf77f",
+        "G r & F (g & F p)":
+            "c3627eca279f8e76366b68105515514c7fd3c46fc256571566658abbe9e27ffa",
+    }
+
+    @pytest.mark.parametrize("formula", sorted(SCALE_PINS))
+    def test_game_and_solve_pinned_at_scale(self, formula):
+        _, art = verify(drone_spec(eta=0.25), formula)
+        game, res = art["game"], art["solve"]
+        blob = repr((list(game.edges.items()), game.owner,
+                     sorted(game.accepting), game.redirected_player,
+                     sorted(res.w0), list(res.strategy0.items()), res.stats))
+        assert hashlib.sha256(blob.encode()).hexdigest() == \
+            self.SCALE_PINS[formula]
+
+    @pytest.mark.parametrize("formula", ["F G r", "c U b"])
+    def test_regions_made_on_first_read(self, formula):
+        _, art = verify(drone_spec(), formula)
+        game, res = art["game"], art["solve"]
+        assert "w0" not in vars(res) and "w1" not in vars(res)
+        assert len(res.won) == len(game.owner)
+        assert res.w0 | res.w1 == frozenset(game.edges)
+        assert not (res.w0 & res.w1)
+
+    def test_redirected_player_rows_shared(self):
+        _, art = verify(drone_spec(), "c U b")
+        game = art["game"]
+        rows = [game.edges[v] for v in game.redirected_player]
+        assert len(rows) == 253
+        assert all(row is rows[0] for row in rows)
+
 
 class TestVerify:
     def test_1d_verified(self):
@@ -433,18 +468,34 @@ class TestVerify:
         assert e.value.stage == "model"
 
     def test_config_hash_matches_definition(self):
+        def fl(x):   # every number a float, at any depth
+            if isinstance(x, (list, tuple)):
+                return [fl(y) for y in x]
+            return float(x)
+
         def direct(spec, formula_text, tracked):
             modes, index = spec.cell_modes
             blob = json.dumps({
                 "formula": formula_text, "tracked": list(tracked),
-                "dim": spec.dim, "domain": spec.domain, "eta": spec.eta,
-                "tau": spec.tau, "x_in": spec.x_in, "aps": spec.ap_regions,
-                "modes": [_mode_to_json(m) for m in modes],
+                "dim": spec.dim, "domain": fl(spec.domain),
+                "eta": fl(spec.eta), "tau": fl(spec.tau),
+                "x_in": fl(spec.x_in),
+                "aps": {p: [[[a, op, fl(c)] for a, op, c in conj]
+                            for conj in region]
+                        for p, region in spec.ap_regions.items()},
+                "modes": [{k: fl(x) for k, x in _mode_to_json(m).items()}
+                          for m in modes],
                 "cell_modes": list(index)}, sort_keys=True)
             return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
+        ints = SystemSpec(
+            dim=1, domain=((-5, 5),), eta=1, tau=1, x_in=(0,),
+            modes={"default": Mode(v=1, ev=0, theta=0, etheta=0),
+                   "u": Mode(u=(1,), du=(0,))},
+            field={"kind": "table", "cells": {(1,): "u"}},
+            ap_regions={"p": (((0, "ge", 1),),)})
         cases = [(drone_spec(), "G r & F (g & F p)", ("g", "p", "r")),
-                 (_spec_1d(), "G p", ("p",)),
+                 (_spec_1d(), "G p", ("p",)), (ints, "G p", ("p",)),
                  (drone_spec(eta=0.5), 'F "é" & G "∂"', ("∂", "é")),
                  (drone_spec(), "", ())]
         for spec, text, tracked in cases:
@@ -457,6 +508,12 @@ class TestVerify:
     def test_config_hash_identifies_the_system(self, spec, data):
         def h(s):
             return _config_hash(s, "G p0", ("p0",))
+
+        def as_int(x):
+            return int(x) if x == int(x) else x
+
+        def as_ints(xs):
+            return tuple(map(as_int, xs))
 
         def with_field(s, f, modes=None):
             return dataclasses.replace(s, field=f, modes=modes or s.modes)
@@ -503,9 +560,35 @@ class TestVerify:
                        {rename[n]: m for n, m in spec.modes.items()}),
             with_field(spec, {"kind": "table", "cells": name}),
             with_field(spec, {**f, "cells": {**f["cells"], beyond: "other"}}),
+            # a cell given a second name of the mode it has
+            with_field(spec, {**f, "cells": {**f["cells"], cells[0]: "twin"}},
+                       {**spec.modes,
+                        "twin": dataclasses.replace(spec.modes[name[cells[0]]])}),
+            # integral numbers written as ints
+            dataclasses.replace(spec, domain=tuple(map(as_ints, spec.domain)),
+                                x_in=as_ints(spec.x_in), eta=as_int(spec.eta)),
         ]
         for other in same:
             assert h(other) == base
+
+    def test_config_hash_reads_values_not_spelling(self):
+        def spec(field, modes, x_in):
+            return SystemSpec(
+                dim=2, domain=((-2.5, 2.5), (-2.5, 2.5)), eta=1.0, tau=1.0,
+                x_in=x_in, modes=modes, field=field,
+                ap_regions={"p": (((0, "ge", 0.7),),)})
+
+        a = Mode(u=(0.5, 0.0), du=(0.1, 0.1))
+        uniform = spec("a", {"default": a, "a": a}, (0.0, 0.0))
+        b = dataclasses.replace(a)
+        table = spec({"kind": "table", "default": "a", "cells": {(0, 0): "b"}},
+                     {"default": a, "a": a, "b": b}, (0.0, 0.0))
+        ints = spec("a", {"default": a, "a": a}, (0, 0))
+        assert len(table.cell_modes[0]) == 1
+        assert len(table._steps) == 1
+        assert _config_hash(table, "G p", ("p",)) == \
+            _config_hash(uniform, "G p", ("p",)) == \
+            _config_hash(ints, "G p", ("p",))
 
     def test_model_and_game_freed_without_the_cycle_collector(self):
         # neither the model nor the game nor the spec (with the step
