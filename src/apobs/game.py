@@ -120,9 +120,8 @@ def build_game(model, nba):
     the automaton's successors by letter code and state.  Player ids are
     found in one table per automaton state, keyed by the pair ints the
     model's rows already hold, so an Opponent vertex's whole row is
-    looked up at once.  No
-    vertex tuple is made while exploring, and every redirected vertex of
-    one owner shares one successor row."""
+    looked up at once.  No vertex tuple is made while exploring, and
+    every redirected vertex of one owner shares one successor row."""
     if tuple(model.aps) != tuple(nba.aps):
         raise ValueError(
             f"alphabet mismatch: model tracks {model.aps}, "
@@ -141,10 +140,9 @@ def build_game(model, nba):
     n_ids = trans.n_ids
 
     keys = array("q", [trans.state_id(model.q_in) * nb + nba.start])
-    ids = {keys[0]: 0}              # Opponent key -> id
+    ids = {keys[0]: 0}               # Opponent key -> id
     p_ids = [{} for _ in range(nb)]  # per b: model pair int -> Player id
-    sinks = {}          # sink key -> the row of every vertex sent to it
-    verts = [0]      # the id ints, each shared by the rows and ``edges``
+    verts = [0]                      # id ints, shared by rows and edges
     edges = {}
     owner = bytearray()
     accepting = []
@@ -192,12 +190,13 @@ def build_game(model, nba):
                 edges[i] = tuple(js)
                 continue
             redirected, sink = redirected_o, -1
-        redirected.append(i)
-        if sink not in sinks:
-            sinks[sink] = (len(keys),)
+        if redirected:            # one row shared by all sent to the sink
+            edges[i] = edges[redirected[0]]
+        else:
+            verts.append(len(keys))
             keys.append(sink)
-            verts.append(sinks[sink][0])
-        edges[i] = sinks[sink]
+            edges[i] = (verts[-1],)
+        redirected.append(i)
     return BuchiGame(_Names(keys, trans, nba), edges, bytes(owner),
                      frozenset(accepting), 0,
                      tuple(redirected_p), tuple(redirected_o))

@@ -570,25 +570,7 @@ class TestVerify:
         ]
         for other in same:
             assert h(other) == base
-
-    def test_config_hash_reads_values_not_spelling(self):
-        def spec(field, modes, x_in):
-            return SystemSpec(
-                dim=2, domain=((-2.5, 2.5), (-2.5, 2.5)), eta=1.0, tau=1.0,
-                x_in=x_in, modes=modes, field=field,
-                ap_regions={"p": (((0, "ge", 0.7),),)})
-
-        a = Mode(u=(0.5, 0.0), du=(0.1, 0.1))
-        uniform = spec("a", {"default": a, "a": a}, (0.0, 0.0))
-        b = dataclasses.replace(a)
-        table = spec({"kind": "table", "default": "a", "cells": {(0, 0): "b"}},
-                     {"default": a, "a": a, "b": b}, (0.0, 0.0))
-        ints = spec("a", {"default": a, "a": a}, (0, 0))
-        assert len(table.cell_modes[0]) == 1
-        assert len(table._steps) == 1
-        assert _config_hash(table, "G p", ("p",)) == \
-            _config_hash(uniform, "G p", ("p",)) == \
-            _config_hash(ints, "G p", ("p",))
+            assert other.cell_modes == spec.cell_modes
 
     def test_model_and_game_freed_without_the_cycle_collector(self):
         # neither the model nor the game nor the spec (with the step
