@@ -26,7 +26,7 @@ from .observations import (OBS, MultiChange, UndefinedSlice, letter_code,
                            letter_of)
 
 __all__ = [
-    "Mode", "SystemSpec", "SymbolicModel", "TauValidation",
+    "Mode", "SystemSpec", "SymbolicModel",
     "TauValidationError", "OutOfDomainError",
     "gamma", "build_symbolic_model",
     "validate_tau", "simulate_trajectory",
@@ -146,6 +146,14 @@ def _finite(x):
             and math.isfinite(x))
 
 
+def _reject_unknown(obj, known, where):
+    """Raise a ValueError naming every key of ``obj`` not in ``known``."""
+    unknown = obj.keys() - known
+    if unknown:
+        raise ValueError(f"{where}: unknown key "
+                         f"{', '.join(sorted(map(repr, unknown)))}")
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """A grid-quantized system.  A spec is treated as immutable: the grid
@@ -220,6 +228,7 @@ class SystemSpec:
                 if not isinstance(key, tuple) or len(key) != self.dim:
                     raise ValueError(f"field: table key {key!r} needs "
                                      f"{self.dim} indices")
+            _reject_unknown(f, {"kind", "cells", "default"}, "field")
         else:
             raise ValueError(f"field: kind {kind!r} is not table or patrol")
         missing = names - self.modes.keys()
@@ -326,13 +335,6 @@ class SystemSpec:
             return None
         return i if 0 <= i < len(self.cells) and self.cells[i] == cell \
             else None
-
-    def axis_interval(self, a, k):
-        """Closed interval of cell index k on axis a: two entries of
-        ``edges``.  An index outside the grid raises a ValueError."""
-        kmin, kmax = self.grid_ranges[a]
-        j = range(kmin, kmax + 1).index(k)
-        return self.edges[a][j], self.edges[a][j + 1]
 
 
 def mode_for_cell(spec, cell):
@@ -457,58 +459,24 @@ def _step_tables(spec, mode):
     return tuple(tables)
 
 
-@dataclass(frozen=True)
-class TauValidation:
-    tau: float
-    v_max: float
-    distances: dict        # (p, p') -> boundary distance (math.inf allowed)
-    tau_max: float
-    passed: bool
-    shared_boundaries: tuple  # ((p, p', axis, threshold), ...)
-
-
-def _ap_thresholds(region):
-    """Thresholds per axis appearing in a region's half-space boundaries."""
-    out = {}
-    for conj in region:
-        for a, _, c in conj:
-            out.setdefault(a, set()).add(c)
-    return out
-
-
 def validate_tau(spec):
-    """Check tau against the minimum AP boundary separation over every AP
-    region of the spec, tracked by a query or not.
+    """The largest sound tau: the smallest strictly positive gap between
+    the thresholds of two distinct APs on a shared axis, over every AP
+    region of the spec, tracked by a query or not, divided by
+    ``spec.v_max``; +inf when there is no such gap or v_max is 0.
 
-    The distance between two APs' boundaries is the smallest strictly
-    positive gap between their half-space thresholds on a shared axis
-    (+inf when they have none).  Coincident thresholds between distinct
-    APs are reported as shared boundaries (warnings): along such a
+    Coincident thresholds of distinct APs are no gap: along such a
     boundary two APs flip at the same instant, which the single-change
     assumption tolerates only where the boundary pieces do not actually
     overlap on a trajectory.
     """
-    aps = sorted(spec.ap_regions)
+    cuts = {(a, c, p) for p, region in spec.ap_regions.items()
+            for a, _, c in itertools.chain(*region)}
+    gaps = (abs(c - c2) for a, c, p in cuts for a2, c2, p2 in cuts
+            if a == a2 and p != p2)
+    gap = min((g for g in gaps if g >= 1e-12), default=math.inf)
     v_max = spec.v_max
-    thr = {p: _ap_thresholds(spec.ap_regions[p]) for p in aps}
-    distances = {}
-    shared = []
-    for i, p in enumerate(aps):
-        for p2 in aps[i + 1:]:
-            best = math.inf
-            for a in set(thr[p]) & set(thr[p2]):
-                for c1 in thr[p][a]:
-                    for c2 in thr[p2][a]:
-                        gap = abs(c1 - c2)
-                        if gap < 1e-12:
-                            shared.append((p, p2, a, c1))
-                        elif gap < best:
-                            best = gap
-            distances[(p, p2)] = best
-    tau_max = (min(distances.values()) / v_max
-               if distances and v_max > 0 else math.inf)
-    return TauValidation(spec.tau, v_max, distances, tau_max,
-                         spec.tau <= tau_max, tuple(sorted(set(shared))))
+    return gap / v_max if v_max > 0 else math.inf
 
 
 class _Transitions(Mapping):
@@ -599,14 +567,15 @@ def _labels_for(sig, sig2, aps, drop_multi_change):
 
 
 def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
-                         force=False):
+                         allow_unsound_tau=False):
     """Quantize the system into a finite symbolic model.
 
     States are the grid cells; cells whose reachable box exits the domain
     additionally transition to a demonic sink with unconstrained end
     observations.  Labels with two changing APs are dropped by default
     (single-change assumption; pass drop_multi_change=False to keep them).
-    Requires a passing validate_tau unless ``force``.
+    Requires tau at most validate_tau's bound unless
+    ``allow_unsound_tau``.
 
     A row is made by table lookups.  A half-space reads a cell only
     through its interval in ``spec.edges`` on its axis, so the indices
@@ -638,15 +607,16 @@ def build_symbolic_model(spec, tracked_aps=None, drop_multi_change=True,
     # tau soundness depends on the geometry of every AP region in the
     # spec, not only the tracked ones; it and ``cells`` build the grid
     try:
-        tv = validate_tau(spec)
+        tau_max = validate_tau(spec)
         cells = spec.cells
     except MemoryError:
         raise MemoryError(f"the grid has {spec.n_cells:,} cells, too many "
                           f"to build") from None
-    if not tv.passed and not force:
+    if spec.tau > tau_max and not allow_unsound_tau:
         raise TauValidationError(
-            f"tau={spec.tau} exceeds tau_max={tv.tau_max:.6g} "
-            f"(v_max={tv.v_max}); pass force=True to override")
+            f"tau={spec.tau} exceeds tau_max={tau_max:.6g} "
+            f"(v_max={spec.v_max}); pass allow_unsound_tau=True "
+            f"(CLI: --allow-unsound-tau) to override")
 
     sink = len(cells)            # the sink's id, if there is a sink
     regions = [spec.ap_regions[p] for p in aps]
@@ -833,10 +803,7 @@ def _mode_from_json(name, obj):
     """A Mode from its JSON object, whose keys are ``Mode``'s fields; any
     other key, or an angular key beside ``u``, raises a ValueError that
     names it."""
-    unknown = obj.keys() - {f.name for f in fields(Mode)}
-    if unknown:
-        raise ValueError(f"mode {name!r}: unknown key "
-                         f"{', '.join(sorted(map(repr, unknown)))}")
+    _reject_unknown(obj, {f.name for f in fields(Mode)}, f"mode {name!r}")
     mixed = obj.keys() & {"v", "ev", "theta", "etheta"} if "u" in obj else ()
     if mixed:
         raise ValueError(f"mode {name!r}: vector form u mixed with angular "
@@ -877,18 +844,25 @@ def _modes_from_json(obj):
     return modes, field
 
 
+def _half_space(p, hs):
+    _reject_unknown(hs, {"axis", "op", "c"}, f"AP {p!r}")
+    return hs["axis"], hs["op"], hs["c"]
+
+
 def _regions_from_json(obj):
-    return {p: tuple(tuple((hs["axis"], hs["op"], hs["c"]) for hs in conj)
+    return {p: tuple(tuple(_half_space(p, hs) for hs in conj)
                      for conj in region)
             for p, region in obj.items()}
 
 
 def system_spec_from_json(obj):
-    """SystemSpec from its JSON form.  A missing or malformed field raises
-    a ValueError that names it."""
+    """SystemSpec from its JSON form.  A missing, unknown or malformed
+    field raises a ValueError that names it."""
     if not isinstance(obj, dict):
         raise ValueError(
             f"spec JSON: expected an object, got {type(obj).__name__}")
+    _reject_unknown(obj, {"dim", "domain", "eta", "tau", "x_in", "modes",
+                          "aps"}, "spec JSON")
 
     def get(name, convert):
         if name not in obj:

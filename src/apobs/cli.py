@@ -112,9 +112,7 @@ def cmd_verify(args):
 
 def cmd_scenario(args):
     spec = drone_spec(eta=args.eta, tau=args.tau, r_mode=args.r_mode)
-    obj = _abs.system_spec_to_json(spec)
-    obj["r_mode"] = args.r_mode
-    text = json.dumps(obj, indent=1)
+    text = json.dumps(_abs.system_spec_to_json(spec), indent=1)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

@@ -397,7 +397,8 @@ def verify(spec, formula, repeat=1, allow_unsound_tau=False):
         nba = timed("automaton", lambda: _aut.translate(nnf)["nba"])
         model = timed("model", _abs.build_symbolic_model,
                       replace(spec) if run else spec,
-                      tracked_aps=tracked, force=allow_unsound_tau)
+                      tracked_aps=tracked,
+                      allow_unsound_tau=allow_unsound_tau)
         if not run:
             # cell_modes is resolved: a grid too large failed in the model
             # stage, and the game reuses the memory the hash takes

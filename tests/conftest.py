@@ -685,9 +685,17 @@ def _model_edges(model):
             yield q, o, q2
 
 
+def axis_interval(spec, a, k):
+    """Closed interval of cell index k on axis a: two entries of
+    ``spec.edges``.  An index outside the grid raises a ValueError."""
+    kmin, kmax = spec.grid_ranges[a]
+    j = range(kmin, kmax + 1).index(k)
+    return spec.edges[a][j], spec.edges[a][j + 1]
+
+
 def cell_box(spec, cell):
     """Closed box of a grid cell: its ``axis_interval`` per axis."""
-    return [spec.axis_interval(a, k) for a, k in enumerate(cell)]
+    return [axis_interval(spec, a, k) for a, k in enumerate(cell)]
 
 
 def field_mode(spec, cell):
@@ -795,7 +803,7 @@ def _mode(draw, dim):
 def random_spec(draw):
     """A small 1-D or 2-D spec: eta not dividing the domain, a uniform or
     two-mode table field, random half-space regions, and tau at most
-    validate_tau's tau_max."""
+    validate_tau's bound."""
     dim = draw(st.integers(1, 2))
     eta = draw(st.sampled_from((0.5, 0.6, 0.7, 0.9, 1.0)))
     domain = tuple(draw(_interval(eta)) for _ in range(dim))
@@ -819,7 +827,7 @@ def random_spec(draw):
            for i in range(draw(st.integers(1, 3)))}
     spec = SystemSpec(dim, domain, eta, 1.0, x_in, modes, field, aps)
     tau = draw(st.floats(0.1, 1.5))
-    return dataclasses.replace(spec, tau=min(tau, validate_tau(spec).tau_max))
+    return dataclasses.replace(spec, tau=min(tau, validate_tau(spec)))
 
 
 @st.composite
@@ -827,7 +835,7 @@ def edge_spec(draw):
     """A small 1-, 2- or 3-D spec whose AP thresholds all sit exactly on
     a cell edge (a float of ``SystemSpec.edges``), on k*eta - eta/2 or
     k*eta + eta/2, or on a domain edge, with a uniform or table field and
-    any tau (build it with ``force=True``)."""
+    any tau (build it with ``allow_unsound_tau=True``)."""
     dim = draw(st.integers(1, 3))
     eta = draw(st.sampled_from((0.5, 0.6, 0.7, 1.0)))
     domain = tuple(draw(_interval(eta, max_k=5 - dim)) for _ in range(dim))

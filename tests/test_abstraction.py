@@ -82,6 +82,20 @@ class TestCellClassification:
     def test_sink_is_unknown(self, drone):
         assert rho(drone, SINK, "c") == "?"
 
+    @pytest.mark.parametrize("r_mode, on_axis", [("or", "+"), ("and", "-")])
+    def test_drone_r_mode(self, r_mode, on_axis):
+        # "or": |x| >= 2.1 or |y| >= 2.1; "and": both at once
+        spec = drone_spec(r_mode=r_mode)
+        r = spec.ap_regions["r"]
+        assert region_contains(r, (3.0, 3.0))
+        assert region_contains(r, (3.0, 0.0)) is (on_axis == "+")
+        assert rho(spec, (3, 3), "r") == "+"
+        assert rho(spec, (3, 0), "r") == on_axis
+
+    def test_unknown_r_mode(self):
+        with pytest.raises(ValueError, match="r_mode must be 'or' or 'and'"):
+            drone_spec(r_mode="xor")
+
     def test_trichotomy_sampled(self, drone):
         rng = random.Random(51)
         cells = drone.cells
@@ -102,30 +116,29 @@ class TestCellClassification:
 
 class TestValidateTau:
     def test_drone(self, drone):
-        tv = validate_tau(drone)
-        assert tv.v_max == pytest.approx(4.1)
-        assert tv.tau_max == pytest.approx(4.11 / 4.1)
-        assert tv.passed
-        assert tv.shared_boundaries  # 6.21 is shared by several regions
-        assert min(tv.distances.values()) == pytest.approx(4.11)
+        tau_max = validate_tau(drone)
+        assert drone.v_max == pytest.approx(4.1)
+        assert tau_max == pytest.approx(4.11 / 4.1)
+        assert drone.tau <= tau_max
+        # the smallest gap is 4.11; 6.21, which several regions share,
+        # gives no gap of 0
+        assert tau_max * drone.v_max == pytest.approx(4.11)
 
     def test_too_large_tau_fails(self):
         spec = drone_spec(tau=1.1)
-        assert not validate_tau(spec).passed
-        with pytest.raises(TauValidationError):
+        assert spec.tau > validate_tau(spec)
+        with pytest.raises(TauValidationError,
+                           match="pass allow_unsound_tau=True"):
             build_symbolic_model(spec, tracked_aps=("r",))
 
-    def test_shared_boundary_flagged(self):
+    def test_coincident_thresholds_give_no_bound(self):
         spec = _uniform_spec(
             Mode(u=(1.0,), du=(0.0,)), dim=1, domain=5.0,
             aps={"a": (((0, "ge", 0.0),),), "b": (((0, "le", 0.0),),)})
-        tv = validate_tau(spec)
-        assert ("a", "b", 0, 0.0) in tv.shared_boundaries
-        assert tv.distances[("a", "b")] == math.inf
+        assert validate_tau(spec) == math.inf
 
     def test_single_ap_trivially_passes(self):
-        tv = validate_tau(_uniform_spec(Mode(v=4.0, ev=0.1)))
-        assert tv.passed and tv.tau_max == math.inf
+        assert validate_tau(_uniform_spec(Mode(v=4.0, ev=0.1))) == math.inf
 
 
 class TestReachBox:
@@ -398,7 +411,7 @@ class TestRowTables:
         # hi > c, lo > c (or lo < c, hi < c) of the cells next to it
         aps = tuple(sorted(spec.ap_regions))
         model = build_symbolic_model(spec, drop_multi_change=drop,
-                                     force=True)
+                                     allow_unsound_tau=True)
         ref = reference_transitions(spec, aps, drop)
         assert list(model.transitions) == list(ref)
         assert model.transitions == ref

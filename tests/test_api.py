@@ -36,7 +36,7 @@ PACKAGE_NAMES = {
 
 # module -> its ``__all__``
 MODULE_NAMES = {
-    "abstraction": {"Mode", "SystemSpec", "SymbolicModel", "TauValidation",
+    "abstraction": {"Mode", "SystemSpec", "SymbolicModel",
                     "TauValidationError", "OutOfDomainError", "gamma",
                     "build_symbolic_model", "validate_tau",
                     "simulate_trajectory", "system_spec_to_json",

@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import apobs
-from apobs.abstraction import Mode, SystemSpec
+from apobs.abstraction import Mode, SystemSpec, system_spec_from_json
 from apobs.cli import (BENCH_FORMULAS, EXIT_ERROR, EXIT_INCONCLUSIVE,
                        EXIT_VERIFIED, PAPER_REFERENCE, build_parser, main)
+from apobs.scenarios import drone_spec
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +29,12 @@ class TestScenario:
     def test_writes_spec(self, spec_file, capsys):
         obj = json.loads(Path(spec_file).read_text())
         assert obj["dim"] == 2
-        assert obj["r_mode"] == "or"
+        # r_mode "or": |x| >= 2.1 or |y| >= 2.1, one half-space a conjunct
+        assert obj["aps"]["r"] == [
+            [{"axis": 0, "op": "ge", "c": 2.1}],
+            [{"axis": 0, "op": "le", "c": -2.1}],
+            [{"axis": 1, "op": "ge", "c": 2.1}],
+            [{"axis": 1, "op": "le", "c": -2.1}]]
         assert sorted(obj["aps"]) == ["b", "c", "g", "p", "r"]
 
     def test_cell_count_messages(self, tmp_path, capsys):
@@ -37,6 +43,14 @@ class TestScenario:
         assert "1089 grid cells" in capsys.readouterr().out
         main(["scenario", "drone", "--eta", "0.5", "--out", str(out)])
         assert "4489 grid cells" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("r_mode", ["or", "and"])
+    def test_r_mode_loads_back(self, tmp_path, capsys, r_mode):
+        out = tmp_path / "s.json"
+        assert main(["scenario", "drone", "--r-mode", r_mode,
+                     "--out", str(out)]) == EXIT_VERIFIED
+        spec = system_spec_from_json(json.loads(out.read_text()))
+        assert spec.ap_regions == drone_spec(r_mode=r_mode).ap_regions
 
     def test_stdout_default(self, capsys):
         assert main(["scenario", "drone"]) == EXIT_VERIFIED
@@ -83,6 +97,14 @@ class TestVerify:
         assert main(["verify", "--system", spec_file, "--formula", "G r",
                      "--tau", "10", "--repeat", "1"]) == EXIT_ERROR
         assert "tau" in capsys.readouterr().err
+        # the error names the CLI's override, which lets the run go on
+        args = ["verify", "--system", spec_file, "--formula", "G r",
+                "--tau", "1.1"]
+        assert main(args) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--allow-unsound-tau" in err
+        assert main(args + ["--allow-unsound-tau"]) in (EXIT_VERIFIED,
+                                                        EXIT_INCONCLUSIVE)
 
     def test_report_deterministic(self, spec_file, tmp_path, capsys):
         hashes = []
@@ -160,6 +182,13 @@ class TestMalformedSpec:
         (lambda o: o["modes"].update(w={"u": [1.0, 0.0], "du": [0.1, 0.1],
                                         "theta": 0.0, "etheta": 0.1}),
          "mode 'w': vector form u mixed with angular key 'etheta', 'theta'"),
+        (lambda o: o.update(taus=0.5), "spec JSON: unknown key 'taus'"),
+        (lambda o: o["aps"]["p"][0][0].update(strict=True),
+         "AP 'p': unknown key 'strict'"),
+        (lambda o: o["modes"].update(field={
+            "kind": "table", "cells": {"0,0": "default"},
+            "defualt": "default"}),
+         "field: unknown key 'defualt'"),
     ], ids=["missing-modes", "short-domain", "non-numeric-speed", "op-lt",
             "nan-threshold", "string-threshold", "negative-axis",
             "axis-out-of-range", "bool-axis", "nan-speed", "infinite-domain",
@@ -169,7 +198,8 @@ class TestMalformedSpec:
             "patrol-without-default", "unhashable-table-cell",
             "patrol-1d", "patrol-vector-default", "patrol-with-parameters",
             "table-key-arity", "unknown-mode-key", "du-without-u",
-            "vector-and-speed", "vector-and-heading"])
+            "vector-and-speed", "vector-and-heading", "unknown-top-level-key",
+            "unknown-half-space-key", "unknown-table-key"])
     def test_one_line_error(self, spec_file, tmp_path, capsys, edit, field):
         obj = json.loads(Path(spec_file).read_text())
         edit(obj)

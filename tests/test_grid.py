@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from apobs.abstraction import (SINK, Mode, SystemSpec, build_symbolic_model,
                                gamma, mode_for_cell)
-from conftest import _mode
+from conftest import _mode, axis_interval
 
 _NONDYADIC_ETAS = ("0.1", "0.3", "0.7", "0.05", "0.15", "0.6")
 
@@ -100,7 +100,7 @@ class TestExactOracle:
         regions = {p: tuple(tuple((a, op, F(c)) for a, op, c in conj)
                             for conj in spec.ap_regions[p]) for p in aps}
         domain = [(F(lo), F(hi)) for lo, hi in spec.domain]
-        box = {q: [tuple(map(F, spec.axis_interval(a, k)))
+        box = {q: [tuple(map(F, axis_interval(spec, a, k)))
                    for a, k in enumerate(q)] for q in spec.cells}
 
         # every float in the domain lies in the box of its gamma cell:
@@ -120,11 +120,11 @@ class TestExactOracle:
                 point = list(spec.x_in)
                 point[a] = x
                 k = gamma(point, spec)[a]
-                k_lo, k_hi = spec.axis_interval(a, k)
+                k_lo, k_hi = axis_interval(spec, a, k)
                 assert k_lo <= point[a] <= k_hi, (a, point[a], k)
 
         model = build_symbolic_model(spec, drop_multi_change=False,
-                                     force=True)
+                                     allow_unsound_tau=True)
         for q, outs in model.transitions.items():
             if q == SINK:
                 continue
@@ -207,7 +207,8 @@ class TestNestedRefinement:
               deadline=None)
     @given(specs=nested_specs())
     def test_fine_steps_map_to_coarse_ones(self, specs):
-        coarse, fine = (build_symbolic_model(s, force=True) for s in specs)
+        coarse, fine = (build_symbolic_model(s, allow_unsound_tau=True)
+                        for s in specs)
         assert fine.n_states == 3 ** specs[0].dim * coarse.n_states
         assert _parent(fine.q_in) == coarse.q_in
         # a fine reach box lies inside its parent's, and a fine cell's
